@@ -11,6 +11,11 @@ Three interchangeable representations are used throughout the package:
 For a body of revolution the hyperplane sections orthogonal to the axis are
 (n-1)-dimensional balls, so volumes reduce to 1-D quadrature of
 ``radius**(n-1)`` and support functions reduce to the 2-D meridian support.
+The meridian is itself a convex polygon, so coaxial Minkowski sums, polars
+and convex hulls are exact operations on its vertices: ``profile_sum``
+merges two profiles' edges by slope and ``upper_hull`` takes the least
+concave majorant of a point set.  Results are sampled back onto uniform
+grids.
 All operations are pure functions of immutable inputs and are safe to share
 between concurrent tasks; Monte-Carlo estimation takes an explicit seed.
 """
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import DegenerateBodyError, UnsupportedCombinationError
 
 DEFAULT_PROFILE_SAMPLES = 2049
-DEFAULT_SUM_DIRECTIONS = 4096
+_HULL_PASSES = 8
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -40,32 +45,40 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def concave_majorant(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least concave majorant of samples (t, v), evaluated back on t.
+def upper_hull(t, v):
+    """Vertices (t ascending) of the least concave majorant of points (t, v).
 
-    Pool-adjacent-violators style cleanup: the upper convex hull of the
-    sample points, used to remove float noise when sampling analytic
-    concave profiles.
+    A point on or below the chord of its two neighbours is never a hull
+    vertex, so each vectorized pass drops all such points at once.  Sampled
+    concave profiles settle after a pass or two; inputs that keep shrinking
+    are finished by a monotone chain over the survivors.
     """
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
-    hull_t = [t[0]]
-    hull_v = [v[0]]
-    for k in range(1, len(t)):
-        while len(hull_t) >= 2:
-            # pop while the new point makes the previous one non-extreme
-            cx1 = hull_t[-1] - hull_t[-2]
-            cy1 = hull_v[-1] - hull_v[-2]
-            cx2 = t[k] - hull_t[-2]
-            cy2 = v[k] - hull_v[-2]
-            if cx1 * cy2 - cy1 * cx2 >= 0.0:
-                hull_t.pop()
-                hull_v.pop()
-            else:
-                break
-        hull_t.append(t[k])
-        hull_v.append(v[k])
-    return np.interp(t, np.array(hull_t), np.array(hull_v))
+    order = np.lexsort((v, t))
+    top = np.append(np.diff(t[order]) > 0, True)  # highest point per abscissa
+    t, v = t[order][top], v[order][top]
+    for _ in range(_HULL_PASSES):
+        above = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) < (v[1:-1] - v[:-2]) * (t[2:] - t[:-2])
+        if above.all():
+            return t, v
+        keep = np.concatenate([[True], above, [True]])
+        t, v = t[keep], v[keep]
+    hull = []
+    for p in zip(t.tolist(), v.tolist()):
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    return np.array([p[0] for p in hull]), np.array([p[1] for p in hull])
+
+
+def concave_majorant(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least concave majorant of samples (t, v), evaluated back on t.
+
+    Used to remove float noise when sampling analytic concave profiles.
+    """
+    return np.interp(t, *upper_hull(t, v))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -191,6 +204,12 @@ class RevolutionBody:
 
 
 BodyRef = Union[Ball, ConvexPolygon, RevolutionBody]
+
+
+def is_o_symmetric(K: BodyRef) -> bool:
+    return isinstance(K, (Ball, RevolutionBody)) or (
+        isinstance(K, ConvexPolygon) and K.o_symmetric
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -367,34 +386,6 @@ def meridian_support(K: RevolutionBody, theta: np.ndarray) -> np.ndarray:
     return np.max(np.outer(c, K.t) + np.outer(s, K.radius), axis=1)
 
 
-def meridian_edge_normals(K: RevolutionBody) -> np.ndarray:
-    """Upward normal angles of the meridian polyline edges, in (0, pi).
-
-    A uniform angular grid alone reconstructs long flat edges with a
-    first-order gap (half the edge length times the angular step); adding
-    the exact edge normals makes the support envelope touch every edge.
-    """
-    dt = np.diff(K.t)
-    dr = np.diff(K.radius)
-    return np.arctan2(dt, -dr)
-
-
-def profile_from_support(theta, h, t_grid):
-    """Reconstruct a meridian radius profile as the polar-dual envelope of
-    upper-half-plane support values h(theta)."""
-    c = np.cos(theta)
-    s = np.sin(theta)
-    keep = s > 1e-9
-    c, s, h = c[keep], s[keep], np.asarray(h, float)[keep]
-    phi = np.full(len(t_grid), np.inf)
-    chunk = max(1, int(2 ** 22 // max(len(t_grid), 1)))
-    for j0 in range(0, len(c), chunk):
-        j1 = min(len(c), j0 + chunk)
-        vals = (h[j0:j1, None] - np.outer(c[j0:j1], t_grid)) / s[j0:j1, None]
-        phi = np.minimum(phi, vals.min(axis=0))
-    return np.maximum(phi, 0.0)
-
-
 def scale(K: BodyRef, factor: float) -> BodyRef:
     if not factor > 0:
         raise ValueError("scale factor must be positive")
@@ -453,13 +444,29 @@ def _polygon_minkowski_sum(P: ConvexPolygon, Q: ConvexPolygon) -> np.ndarray:
     return verts
 
 
-def minkowski_midpoint(K: BodyRef, C: BodyRef, directions=DEFAULT_SUM_DIRECTIONS,
-                       samples=None) -> BodyRef:
+def profile_sum(K: RevolutionBody, C: RevolutionBody):
+    """Vertices (t, r) of the meridian profile of K + C.
+
+    The profile of a coaxial sum is the sup-convolution of the two concave
+    profiles: starting from the sum of the left ends, the sample edges of
+    both are merged by decreasing slope, so each output vertex is a sum of
+    one vertex of K and one of C.  The inputs are validated as concave, so
+    their raw edges are merged without re-hulling.
+    """
+    slopes = np.concatenate([np.diff(K.radius) / np.diff(K.t),
+                             np.diff(C.radius) / np.diff(C.t)])
+    from_k = np.argsort(-slopes, kind="stable") < len(K.t) - 1
+    i = np.concatenate([[0], np.cumsum(from_k)])
+    j = np.concatenate([[0], np.cumsum(~from_k)])
+    return K.t[i] + C.t[j], K.radius[i] + C.radius[j]
+
+
+def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
     """(K + C)/2.
 
-    Coaxial revolution bodies are summed through their meridian support
-    functions on a shared angular grid and reconstructed as the polar-dual
-    envelope; polygons use the exact edge-merge sum.  Balls are exact.
+    Coaxial revolution bodies are summed exactly by ``profile_sum`` and the
+    halved profile is sampled back on a uniform grid as fine as the finer
+    operand; polygons use the exact edge-merge sum.  Balls are exact.
     """
     if isinstance(K, Ball) and isinstance(C, Ball):
         if K.dim != C.dim:
@@ -471,23 +478,15 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef, directions=DEFAULT_SUM_DIRECTIONS
     if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
         if K.dim != C.dim:
             raise UnsupportedCombinationError("midpoint of bodies of different dimension")
-        m = samples or max(
-            getattr(K, "t", np.empty(DEFAULT_PROFILE_SAMPLES)).shape[0],
-            getattr(C, "t", np.empty(DEFAULT_PROFILE_SAMPLES)).shape[0],
-        )
+        m = max(len(B.t) if isinstance(B, RevolutionBody) else DEFAULT_PROFILE_SAMPLES
+                for B in (K, C))
         Kr = as_revolution(K, m)
         Cr = as_revolution(C, m)
-        theta = np.unique(np.concatenate([
-            (np.arange(directions) + 0.5) * math.pi / directions,
-            meridian_edge_normals(Kr),
-            meridian_edge_normals(Cr),
-        ]))
-        h = 0.5 * (meridian_support(Kr, theta) + meridian_support(Cr, theta))
+        ts, rs = profile_sum(Kr, Cr)
         alpha = 0.5 * (Kr.alpha + Cr.alpha)
         t = np.linspace(-alpha, alpha, m)
-        phi = profile_from_support(theta, h, t)
-        phi = concave_majorant(t, 0.5 * (phi + phi[::-1]))
-        return RevolutionBody(Kr.dim, t, phi)
+        phi = np.interp(t, 0.5 * ts, 0.5 * rs)
+        return RevolutionBody(Kr.dim, t, 0.5 * (phi + phi[::-1]))
     raise UnsupportedCombinationError(
         f"midpoint of {type(K).__name__} and {type(C).__name__} is not supported"
     )

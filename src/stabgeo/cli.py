@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: santalo, pl1d, fmp, pln, cap-scan, bs-scan, pl-scan.
+Subcommands: santalo, pl1d, fmp, pln, cap-scan, bs-scan, pl-scan, pln-scan.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
 (diagnostics go to stderr).
 """
@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bodies, experiments, fileio, fmp, pl1d, pln, polarity
 from .errors import ConfigError, ConvergenceError
+from .experiments import csv_row
 
 _NUMERIC_ERRORS = (
     ConvergenceError,
@@ -22,16 +23,6 @@ _NUMERIC_ERRORS = (
     ValueError,
     TypeError,
 )
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    return format(float(v), ".12g")
-
-
-def _row(*values) -> str:
-    return ",".join(_fmt(v) for v in values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--g", required=True, dest="g_path")
     s.add_argument("--m", dest="m_path")
 
-    for name in ("cap-scan", "bs-scan", "pl-scan"):
+    for name in experiments.EXPERIMENTS:
         s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config")
         s.add_argument("--dim", type=int)
@@ -91,8 +82,8 @@ def _cmd_santalo(args) -> int:
     res = polarity.santalo_point(body)
     z = np.zeros(2) if len(res.point) < 2 else res.point[:2]
     print("zx,zy,volume,polar_volume,product,deficit")
-    print(_row(z[0], z[1], bodies.volume(body), res.polar_volume,
-               res.volume_product, res.bs_deficit))
+    print(csv_row(z[0], z[1], bodies.volume(body), res.polar_volume,
+                  res.volume_product, res.bs_deficit))
     return 0
 
 
@@ -103,8 +94,8 @@ def _cmd_pl1d(args) -> int:
     mean = "geometric" if args.mode == "geom" else "arithmetic"
     rep = pl1d.pl_report(f, g, mean=mean)
     print("eps,omega,a,b,l1_f,l1_g,vacuous")
-    print(_row(rep.deficit, rep.omega_bound, rep.a, rep.b, rep.l1_f, rep.l1_g,
-               rep.vacuous))
+    print(csv_row(rep.deficit, rep.omega_bound, rep.a, rep.b, rep.l1_f, rep.l1_g,
+                  rep.vacuous))
     return 0
 
 
@@ -113,8 +104,8 @@ def _cmd_fmp(args) -> int:
     C = fileio.load_body(args.c_path, dim=args.dim, o_symmetric=True)
     rep = fmp.fmp_bound_check(K, C)
     print("sigma,A,gamma_star,lhs_add,rhs_add,lhs_prod,rhs_prod,eta")
-    print(_row(rep.sigma, rep.A, rep.gamma_star, rep.lhs_additive, rep.rhs_additive,
-               rep.lhs_product, rep.rhs_product, rep.eta))
+    print(csv_row(rep.sigma, rep.A, rep.gamma_star, rep.lhs_additive, rep.rhs_additive,
+                  rep.lhs_product, rep.rhs_product, rep.eta))
     return 0
 
 
@@ -125,14 +116,14 @@ def _cmd_pln(args) -> int:
     trace = pln.pl_trace(f, g, m)
     print("eps,b,b_gap,omega,sqrt_omega,l1_fg,l1_fm,l1_gm,l1_tilde_fg,"
           "jsize_lhs,jsize_rhs,ieta,sectioncap_margin,swapped")
-    print(_row(trace.eps, trace.b, trace.b_gap, trace.omega, trace.sqrt_omega,
-               trace.l1_fg, trace.l1_fm, trace.l1_gm, trace.l1_tilde_fg,
-               trace.jsize_lhs, trace.jsize_rhs, trace.ieta,
-               trace.sectioncap_margin, trace.swapped))
+    print(csv_row(trace.eps, trace.b, trace.b_gap, trace.omega, trace.sqrt_omega,
+                  trace.l1_fg, trace.l1_fm, trace.l1_gm, trace.l1_tilde_fg,
+                  trace.jsize_lhs, trace.jsize_rhs, trace.ieta,
+                  trace.sectioncap_margin, trace.swapped))
     print("t,alpha,beta,sigma,eta,in_I")
     for j in range(len(trace.levels)):
-        print(_row(trace.levels[j], trace.alpha[j], trace.beta[j],
-                   trace.sigma[j], trace.eta[j], bool(trace.I_mask[j])))
+        print(csv_row(trace.levels[j], trace.alpha[j], trace.beta[j],
+                      trace.sigma[j], trace.eta[j], bool(trace.I_mask[j])))
     return 0
 
 
@@ -186,13 +177,8 @@ def main(argv=None) -> int:
             return _cmd_fmp(args)
         if args.command == "pln":
             return _cmd_pln(args)
-        if args.command in ("cap-scan", "bs-scan", "pl-scan"):
-            experiment = args.command
-            if experiment == "pl-scan" and getattr(args, "config", None):
-                # a pln-scan config runs through the pl-scan subcommand
-                cfg_probe = experiments.load_config(args.config)
-                experiment = cfg_probe.experiment
-            return _cmd_scan(args, experiment)
+        if args.command in experiments.EXPERIMENTS:
+            return _cmd_scan(args, args.command)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)

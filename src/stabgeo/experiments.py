@@ -9,6 +9,7 @@ Grid points use derived seeds (seed + index), making reruns byte-identical.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,12 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         kv[key] = val
-    kv.update({k: v for k, v in overrides.items() if v is not None})
+    for key, val in overrides.items():
+        if val is None:
+            continue
+        if key == "experiment" and kv.get(key, val) != val:
+            raise ConfigError(f"config is for experiment {kv[key]!r}, not {val!r}")
+        kv[key] = val
     if "experiment" not in kv:
         raise ConfigError("config is missing the experiment key")
     args = {"experiment": str(kv.pop("experiment"))}
@@ -154,11 +160,15 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         args["family"] = str(kv.pop("family"))
     for key, val in kv.items():
         if key in _CONFIG_INTS:
-            args[key] = int(val)
+            convert = int
         elif key in _CONFIG_FLOATS:
-            args[key] = float(val)
+            convert = float
         else:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            args[key] = convert(val)
+        except ValueError:
+            raise ConfigError(f"bad {key} value {val!r}") from None
     cfg = ExperimentConfig(**args)
     cfg.validate()
     return cfg
@@ -170,13 +180,27 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
+    """Write rows to a sibling temporary file and rename it over ``path``, so
+    an interrupted write leaves any previous file untouched."""
     if not path:
         return
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(csv_row(*row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def csv_row(*values) -> str:
+    """One CSV line: bools as 0/1, integers as-is, floats to 12 significant
+    digits."""
+    return ",".join(_fmt(v) for v in values)
 
 
 def _fmt(v) -> str:

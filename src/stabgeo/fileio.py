@@ -87,26 +87,32 @@ def save_gridfn(path: str, f: GridFn1D) -> None:
             fh.write(f"{x:.17g},{v:.17g}\n")
 
 
+def _stack_fields(path: str, line: str, form: str, **types) -> dict:
+    """The typed key=value fields of one stack-file line; ``form`` is the
+    documented line shape, quoted when a field is missing or malformed."""
+    try:
+        fields = dict(part.split("=", 1) for part in line.split())
+        return {key: convert(fields[key]) for key, convert in types.items()}
+    except (KeyError, ValueError):
+        raise ConfigError(f"{path}: expected {form!r}, got {line!r}") from None
+
+
 def load_stack(path: str) -> LevelStack:
     base = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty stack file")
-    head = dict(part.split("=", 1) for part in lines[0].split())
-    if "dim" not in head or "levels" not in head:
-        raise ConfigError(f"{path}: stack header must be 'dim=N levels=K'")
-    dim = int(head["dim"])
-    count = int(head["levels"])
+    head = _stack_fields(path, lines[0], "dim=N levels=K", dim=int, levels=int)
+    dim = head["dim"]
+    count = head["levels"]
     if len(lines) - 1 != count:
         raise ConfigError(f"{path}: header promises {count} levels, found {len(lines) - 1}")
     heights = []
     bodies = []
     for ln in lines[1:]:
-        fields = dict(part.split("=", 1) for part in ln.split())
-        if "t" not in fields or "profile" not in fields:
-            raise ConfigError(f"{path}: level line must be 't=<height> profile=<path>'")
-        heights.append(float(fields["t"]))
+        fields = _stack_fields(path, ln, "t=<height> profile=<path>", t=float, profile=str)
+        heights.append(fields["t"])
         prof = fields["profile"]
         if not os.path.isabs(prof):
             prof = os.path.join(base, prof)

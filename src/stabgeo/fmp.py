@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import bodies
-from .bodies import Ball, BodyRef, ConvexPolygon, RevolutionBody, volume
+from .bodies import BodyRef, ConvexPolygon, volume
 from .errors import UnsupportedCombinationError
 
 
@@ -39,12 +39,6 @@ def _normalize_volume(K: BodyRef) -> BodyRef:
     return bodies.scale(K, volume(K) ** (-1.0 / K.dim))
 
 
-def _is_o_symmetric(K: BodyRef) -> bool:
-    return isinstance(K, (Ball, RevolutionBody)) or (
-        isinstance(K, ConvexPolygon) and K.o_symmetric
-    )
-
-
 def homothetic_distance(K: BodyRef, C: BodyRef) -> float:
     """A(K, C): min over translations x of |aK delta (x + bC)| with
     a = |K|^(-1/n), b = |C|^(-1/n).
@@ -58,7 +52,7 @@ def homothetic_distance(K: BodyRef, C: BodyRef) -> float:
         raise UnsupportedCombinationError("homothetic distance across dimensions")
     nK = _normalize_volume(K)
     nC = _normalize_volume(C)
-    if _is_o_symmetric(K) and _is_o_symmetric(C):
+    if bodies.is_o_symmetric(K) and bodies.is_o_symmetric(C):
         return bodies.symmetric_difference_volume(nK, nC)
     if not (isinstance(nK, ConvexPolygon) and isinstance(nC, ConvexPolygon)):
         raise UnsupportedCombinationError(
@@ -94,8 +88,7 @@ class FMPReport:
     eta: float
 
 
-def fmp_bound_check(K: BodyRef, C: BodyRef,
-                    directions=bodies.DEFAULT_SUM_DIRECTIONS) -> FMPReport:
+def fmp_bound_check(K: BodyRef, C: BodyRef) -> FMPReport:
     """Evaluate both stability inequalities on a pair of bodies.
 
     |K + C| is computed from the Minkowski midpoint scaled back by 2^n.
@@ -107,7 +100,7 @@ def fmp_bound_check(K: BodyRef, C: BodyRef,
     sig = max(vc / vk, vk / vc)
     A = homothetic_distance(K, C)
     gstar = gamma_star(n)
-    mid = bodies.minkowski_midpoint(K, C, directions=directions)
+    mid = bodies.minkowski_midpoint(K, C)
     vol_mid = volume(mid)
     vol_sum = (2.0 ** n) * vol_mid
     lhs_add = vol_sum ** (1.0 / n)

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from .bodies import _trapezoid
 from .errors import ConvergenceError, EmptyFunctionError
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DEFAULT_GRID_SAMPLES = 4097
 

@@ -29,7 +29,6 @@ from .pl1d import GridFn1D, HALF_LINE
 DEFAULT_LEVEL_COUNT = 64
 DEFAULT_LEVEL_FLOOR = 1e-6
 DEFAULT_R_SAMPLES = 33
-DEFAULT_STACK_DIRECTIONS = 1024
 _LOOKUP_RTOL = 1e-9
 
 
@@ -212,9 +211,7 @@ def _geometric_ratio(levels):
 
 
 def minimal_midpoint_stack(f: LevelStack, g: LevelStack,
-                           r_samples=DEFAULT_R_SAMPLES,
-                           directions=DEFAULT_STACK_DIRECTIONS,
-                           samples=None) -> LevelStack:
+                           r_samples=DEFAULT_R_SAMPLES) -> LevelStack:
     """Smallest stack m with m((x+y)/2) >= sqrt(f(x) g(y)), up to
     discretization slack (see ``containment_margin``).
 
@@ -224,9 +221,10 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack,
     common ratio, the r grid is the stacks' own level lattice (the valid
     pairs are the antidiagonals i + j = const), which makes the product
     structure exact; otherwise r_samples log-spaced values of r are used.
-    The hull is taken in support form: the support of a hull of coaxial
-    bodies is the pointwise max of their supports, and one polar-dual
-    envelope per level reconstructs the profile.
+    The hull is exact on meridian profiles: the upper hull of the halved
+    ``profile_sum`` vertices of every pair and of the previous (higher)
+    level's hull, which keeps the levels nested.  Each level is sampled on
+    a uniform grid as fine as the finest input body.
     """
     if f.dim != g.dim:
         raise UnsupportedCombinationError("midpoint stack across dimensions")
@@ -235,12 +233,7 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack,
     if f.levels[0] * g.levels[0] <= 0:
         raise EmptyFunctionError("empty level ranges")
     dim = f.dim
-    m = samples or max(max(len(b.t) for b in f.bodies), max(len(b.t) for b in g.bodies))
-    theta = (np.arange(directions) + 0.5) * math.pi / directions
-    Sf = np.vstack([_bodies.meridian_support(b, theta) for b in f.bodies])
-    Sg = np.vstack([_bodies.meridian_support(b, theta) for b in g.bodies])
-    af = np.array([b.alpha for b in f.bodies])
-    ag = np.array([b.alpha for b in g.bodies])
+    m = max(len(b.t) for b in f.bodies + g.bodies)
 
     rf = _geometric_ratio(f.levels)
     rg = _geometric_ratio(g.levels)
@@ -281,21 +274,16 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack,
         raise EmptyFunctionError("no midpoint level has a nonempty pair set")
 
     out_bodies = []
-    prev = None
-    for u, pairs in zip(out_levels, out_pairs):
-        H = np.full(len(theta), -np.inf)
-        alpha = 0.0
-        for (i, j) in pairs:
-            H = np.maximum(H, 0.5 * (Sf[i] + Sg[j]))
-            alpha = max(alpha, 0.5 * (af[i] + ag[j]))
-        if prev is not None:
-            H = np.maximum(H, prev[0])
-            alpha = max(alpha, prev[1])
-        t = np.linspace(-alpha, alpha, m)
-        phi = _bodies.profile_from_support(theta, H, t)
-        phi = _bodies.concave_majorant(t, 0.5 * (phi + phi[::-1]))
-        out_bodies.append(RevolutionBody(dim, t, phi))
-        prev = (H, alpha)
+    hull = (np.empty(0), np.empty(0))
+    for pairs in out_pairs:
+        sums = [_bodies.profile_sum(f.bodies[i], g.bodies[j]) for i, j in pairs]
+        hull = _bodies.upper_hull(
+            np.concatenate([0.5 * ts for ts, _ in sums] + [hull[0]]),
+            np.concatenate([0.5 * rs for _, rs in sums] + [hull[1]]),
+        )
+        t = np.linspace(-hull[0][-1], hull[0][-1], m)
+        phi = np.interp(t, *hull)
+        out_bodies.append(RevolutionBody(dim, t, 0.5 * (phi + phi[::-1])))
     return LevelStack(dim, np.array(out_levels), tuple(out_bodies))
 
 

@@ -4,8 +4,9 @@ The polar of K with respect to an interior point z is
 ``K^z = {x : <x - z, y - z> <= 1 for all y in K}``.  For an o-symmetric body
 of revolution with z = o the polar meridian is the 2-D polar of the meridian
 (the supremum defining the polar reduces to the meridian plane), so polarity
-stays inside the profile representation.  Polygons use exact half-plane
-intersection.
+stays inside the profile representation: the edges of the meridian's upper
+hull map to the vertices of the polar profile.  Polygons use exact
+half-plane intersection.
 """
 
 from __future__ import annotations
@@ -54,32 +55,6 @@ class SantaloResult:
 # ---------------------------------------------------------------------------
 
 
-def _polar_profile_walk(t, r, s_grid):
-    """min over profile points of (1 - t s)/r(t) for each s (ascending).
-
-    The binding constraint index is nondecreasing in s (the contact vertex
-    rotates monotonically), so a single forward walk suffices.
-    """
-    pos = r > 0
-    tp = t[pos]
-    rp = r[pos]
-    out = np.empty(len(s_grid))
-    k = 0
-    last = len(tp) - 1
-    for i in range(len(s_grid)):
-        s = s_grid[i]
-        cur = (1.0 - tp[k] * s) / rp[k]
-        while k < last:
-            nxt = (1.0 - tp[k + 1] * s) / rp[k + 1]
-            if nxt <= cur:
-                k += 1
-                cur = nxt
-            else:
-                break
-        out[i] = cur
-    return np.maximum(out, 0.0)
-
-
 def _polar_profile_bruteforce(t, r, s_grid):
     """Chunked exhaustive version of the polar-profile minimum (oracle)."""
     pos = r > 0
@@ -107,12 +82,19 @@ def polar(K: BodyRef, z=None) -> BodyRef:
             raise UnsupportedCombinationError(
                 "polar of a revolution body is only supported about the origin"
             )
-        alpha = K.alpha
-        m = len(K.t)
-        s = np.linspace(-1.0 / alpha, 1.0 / alpha, m)
-        psi = _polar_profile_walk(K.t, K.radius, s)
-        psi = bodies.concave_majorant(s, 0.5 * (psi + psi[::-1]))
-        return RevolutionBody(K.dim, s, psi)
+        # each upper meridian edge lies on a line <a, x> = 1 whose dual a is
+        # a polar vertex; vertical end edges t = t_end give (1/t_end, 0)
+        t, r = bodies.upper_hull(K.t, K.radius)
+        cross = t[:-1] * r[1:] - t[1:] * r[:-1]
+        s_v = np.diff(r) / cross
+        psi_v = -np.diff(t) / cross
+        if r[0] > 0:
+            s_v, psi_v = np.append(1.0 / t[0], s_v), np.append(0.0, psi_v)
+        if r[-1] > 0:
+            s_v, psi_v = np.append(s_v, 1.0 / t[-1]), np.append(psi_v, 0.0)
+        s = np.linspace(-1.0 / K.alpha, 1.0 / K.alpha, len(K.t))
+        psi = np.interp(s, s_v, psi_v)
+        return RevolutionBody(K.dim, s, 0.5 * (psi + psi[::-1]))
     if isinstance(K, ConvexPolygon):
         z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
         V = K.vertices
@@ -138,12 +120,6 @@ def polar(K: BodyRef, z=None) -> BodyRef:
 # ---------------------------------------------------------------------------
 
 
-def _is_o_symmetric(K: BodyRef) -> bool:
-    return isinstance(K, (Ball, RevolutionBody)) or (
-        isinstance(K, ConvexPolygon) and K.o_symmetric
-    )
-
-
 def _polygon_diameter(K: ConvexPolygon) -> float:
     V = K.vertices
     D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
@@ -166,7 +142,7 @@ def santalo_point(K: BodyRef, certificate_tol=1e-6) -> SantaloResult:
     General polygons run a Nelder-Mead descent with multistart; the result
     must satisfy the optimality certificate that z is the centroid of K^z.
     """
-    if _is_o_symmetric(K):
+    if bodies.is_o_symmetric(K):
         dim = K.dim
         return _result_at(K, np.zeros(dim))
     if not isinstance(K, ConvexPolygon):

@@ -57,7 +57,7 @@ def test_criterion_1_inequality_directions():
             n = 2 + (k // 2) % 4
             K = bodies.random_revolution_body(n, rng, samples=513)
             C = bodies.random_revolution_body(n, rng, samples=513)
-            rep = fmp.fmp_bound_check(K, C, directions=2048)
+            rep = fmp.fmp_bound_check(K, C)
         if rep.lhs_additive < rep.rhs_additive - 1e-9 * rep.lhs_additive:
             fmp_violations += 1
         if rep.lhs_product < rep.rhs_product - 1e-9 * rep.lhs_product:

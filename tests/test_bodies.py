@@ -158,6 +158,67 @@ def test_midpoint_mixed_representation_rejected():
         minkowski_midpoint(unit_square(), revolution_ball(2, 1.0, 101))
 
 
+def _meridian_polygon(K):
+    """The meridian {(t, y): |y| <= r(t)} as a ccw vertex cycle."""
+    upper = np.column_stack([K.t, K.radius])[::-1]
+    lower = np.column_stack([K.t, -K.radius])
+    if K.radius[-1] == 0.0:
+        upper = upper[1:]
+    if K.radius[0] == 0.0:
+        lower = lower[1:]
+    return ConvexPolygon(np.vstack([upper, lower]), o_symmetric=True)
+
+
+def test_profile_sum_matches_polygon_edge_merge():
+    rng = np.random.default_rng(21)
+    cases = [(revolution_cylinder(3, 1.0, 1.0, samples=9),
+              bodies.RevolutionBody(3, [-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))]
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        cases.append(tuple(
+            bodies.random_revolution_body(n, rng, samples=int(rng.integers(5, 66)),
+                                          amplitude=rng.uniform(0.0, 1.0))
+            for _ in range(2)))
+    for K, C in cases:
+        ts, rs = bodies.profile_sum(K, C)
+        V = bodies._polygon_minkowski_sum(_meridian_polygon(K), _meridian_polygon(C))
+        top = V[V[:, 1] >= 0.0]
+        top = top[np.argsort(top[:, 0])]
+        scale = K.max_radius + C.max_radius
+        assert ts[0] == pytest.approx(top[0, 0], abs=1e-14 * scale)
+        assert ts[-1] == pytest.approx(top[-1, 0], abs=1e-14 * scale)
+        assert np.max(np.abs(np.interp(top[:, 0], ts, rs) - top[:, 1])) <= 1e-12 * scale
+        assert np.max(np.abs(np.interp(ts, top[:, 0], top[:, 1]) - rs)) <= 1e-12 * scale
+
+
+def _majorant_bruteforce(t, v, x):
+    """max over chords of point pairs straddling x (the least concave majorant)."""
+    i, j = np.meshgrid(np.arange(len(t)), np.arange(len(t)), indexing="ij")
+    i, j = i[t[i] < t[j]], j[t[i] < t[j]]
+    out = np.array([np.max(v[t == xx]) for xx in x])
+    for xx_k, xx in enumerate(x):
+        m = (t[i] <= xx) & (xx <= t[j])
+        w = (xx - t[i[m]]) / (t[j[m]] - t[i[m]])
+        if m.any():
+            out[xx_k] = max(out[xx_k], float(np.max((1 - w) * v[i[m]] + w * v[j[m]])))
+    return out
+
+
+def test_upper_hull_matches_bruteforce():
+    rng = np.random.default_rng(22)
+    clouds = [(np.linspace(0.0, 1.0, 60), np.append(np.sqrt(np.linspace(0.0, 1.0, 59)), 9.0))]
+    for _ in range(30):
+        k = int(rng.integers(3, 50))
+        t = rng.integers(0, 20, size=k).astype(float)  # repeated abscissae
+        clouds.append((t, rng.normal(size=k)))
+    for t, v in clouds:
+        ht, hv = bodies.upper_hull(t, v)
+        assert np.all(np.diff(ht) > 0)
+        assert ht[0] == t.min() and ht[-1] == t.max()
+        x = np.unique(t)
+        assert np.max(np.abs(np.interp(x, ht, hv) - _majorant_bruteforce(t, v, x))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # symmetric difference
 # ---------------------------------------------------------------------------
@@ -282,7 +343,7 @@ def test_brunn_minkowski_inequality():
         n = int(rng.integers(2, 6))
         K = bodies.random_revolution_body(n, rng, samples=513)
         C = bodies.random_revolution_body(n, rng, samples=513)
-        M = minkowski_midpoint(K, C, directions=2048)
+        M = minkowski_midpoint(K, C)
         assert volume(M) ** (1.0 / n) >= 0.5 * (
             volume(K) ** (1.0 / n) + volume(C) ** (1.0 / n)) - 1e-9
 

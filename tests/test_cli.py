@@ -175,6 +175,38 @@ def test_cli_missing_file_is_config_error(capsys):
     assert code == 1
 
 
+def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("experiment=cap-scan\ngrid=1e-3\nseed=1e3\n")
+    assert main(["cap-scan", "--config", str(cfg)]) == 1
+    good = tmp_path / "good.txt"
+    fileio.save_stack(str(good), pln.gaussian_stack(3, level_count=4, samples=17))
+    for name, text in (("noeq.txt", "dim=3 levels=1\nt=1 profile\n"),
+                       ("dimx.txt", "dim=x levels=1\nt=1 profile=good_level000.csv\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["pln", "--f", str(bad), "--g", str(good)]) == 1
+    assert capsys.readouterr().err.count("config error") == 3
+
+
+def test_cli_pln_scan_subcommand(tmp_path, capsys):
+    out_csv = tmp_path / "pln.csv"
+    code = main(["pln-scan", "--grid", "0.05,0.1,0.2", "--level-count", "8",
+                 "--out", str(out_csv)])
+    assert code == 0
+    assert "rows=3" in capsys.readouterr().out
+    assert out_csv.read_text().splitlines()[0] == "delta,eps,l1,omega,ratio"
+
+
+def test_cli_config_for_another_experiment_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "pln.cfg"
+    out_csv = tmp_path / "pln.csv"
+    cfg.write_text(f"experiment=pln-scan\ngrid=0.1\noutput_path={out_csv}\n")
+    assert main(["pl-scan", "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_cli_numerical_failure_exit_2(tmp_path, capsys):
     # a zero function is a numerical (domain) failure, not a config error
     p = tmp_path / "zero.csv"

@@ -94,6 +94,34 @@ def test_bad_config_never_writes_output(tmp_path):
     assert not out.exists()
 
 
+def test_interrupted_write_keeps_previous_csv(tmp_path, monkeypatch):
+    out = tmp_path / "scan.csv"
+    out.write_bytes(b"delta,eps\n1,2\n")
+
+    class DiskFull:
+        """A text file whose writes stop halfway with ENOSPC."""
+
+        def __init__(self, *args, **kwargs):
+            self._fh = open(*args, **kwargs)
+
+        def write(self, text):
+            self._fh.write(text[: len(text) // 2])
+            self._fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    monkeypatch.setattr(ex, "open", DiskFull, raising=False)
+    with pytest.raises(OSError):
+        ex._write_csv(str(out), "delta,eps", [(0.5, 0.25), (1.0, 0.5)])
+    assert out.read_bytes() == b"delta,eps\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_fmp_direction_random_pairs():
         n = int(rng.integers(2, 6))
         K = bodies.random_revolution_body(n, rng, samples=513)
         C = bodies.random_revolution_body(n, rng, samples=513)
-        rep = fmp_bound_check(K, C, directions=2048)
+        rep = fmp_bound_check(K, C)
         assert rep.lhs_additive >= rep.rhs_additive - 1e-9 * rep.lhs_additive
         assert rep.lhs_product >= rep.rhs_product - 1e-9 * rep.lhs_product
         # symmetric difference of volume-1 bodies

@@ -72,15 +72,14 @@ def test_polar_involution_revolution_grid_tol():
         assert bodies.support_hausdorff(KK, K) <= 1e-3 * (2.0 * K.alpha)
 
 
-def test_polar_walk_matches_bruteforce():
+def test_polar_matches_bruteforce():
     rng = np.random.default_rng(2)
     for _ in range(20):
         K = bodies.random_revolution_body(3, rng, samples=801,
                                           amplitude=rng.uniform(0.0, 1.0))
-        s = np.linspace(-1.0 / K.alpha, 1.0 / K.alpha, 801)
-        walk = polarity._polar_profile_walk(K.t, K.radius, s)
-        brute = polarity._polar_profile_bruteforce(K.t, K.radius, s)
-        assert float(np.max(np.abs(walk - brute))) <= 1e-12
+        P = polar(K)
+        brute = polarity._polar_profile_bruteforce(K.t, K.radius, P.t)
+        assert float(np.max(np.abs(P.radius - brute))) <= 1e-12
 
 
 def test_polar_inclusion_reversal():
