@@ -63,9 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
         s.add_argument("--profile-samples", type=int, dest="profile_samples")
         s.add_argument("--grid-samples", type=int, dest="grid_samples")
         s.add_argument("--level-count", type=int, dest="level_count")
-        s.add_argument("--r-samples", type=int, dest="r_samples")
-        s.add_argument("--family")
         s.add_argument("--min-deficit", type=float, dest="min_deficit")
+        if name == "pl-scan":
+            s.add_argument("--family")
     return p
 
 
@@ -137,8 +137,7 @@ def _cmd_scan(args, experiment: str) -> int:
         profile_samples=args.profile_samples,
         grid_samples=args.grid_samples,
         level_count=args.level_count,
-        r_samples=args.r_samples,
-        family=args.family,
+        family=getattr(args, "family", None),
         min_deficit=args.min_deficit,
     )
     if args.config:

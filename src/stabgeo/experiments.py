@@ -87,8 +87,7 @@ class ExperimentConfig:
     profile_samples: int | None = None
     grid_samples: int | None = None
     level_count: int | None = None
-    r_samples: int | None = None
-    family: str = "asymmetric"
+    family: str | None = None
     min_deficit: float = 1e-12
 
     def validate(self) -> None:
@@ -111,9 +110,12 @@ class ExperimentConfig:
         else:
             if np.any(g <= 0):
                 raise ConfigError("perturbation grid values must be positive")
-        if self.experiment == "pl-scan" and self.family not in PL_FAMILIES:
-            raise ConfigError(f"unknown pl-scan family {self.family!r}")
-        for name in ("profile_samples", "grid_samples", "level_count", "r_samples"):
+        if self.family is not None:
+            if self.experiment != "pl-scan":
+                raise ConfigError(f"family applies to pl-scan only, not {self.experiment}")
+            if self.family not in PL_FAMILIES:
+                raise ConfigError(f"unknown pl-scan family {self.family!r}")
+        for name in ("profile_samples", "grid_samples", "level_count"):
             v = getattr(self, name)
             if v is not None and v < 8:
                 raise ConfigError(f"{name} must be at least 8, got {v}")
@@ -121,8 +123,7 @@ class ExperimentConfig:
             raise ConfigError("min_deficit must be nonnegative")
 
 
-_CONFIG_INTS = {"dim", "seed", "profile_samples", "grid_samples",
-                "level_count", "r_samples"}
+_CONFIG_INTS = {"dim", "seed", "profile_samples", "grid_samples", "level_count"}
 _CONFIG_FLOATS = {"min_deficit"}
 
 
@@ -305,7 +306,7 @@ def run_pl_scan(cfg: ExperimentConfig):
         f = _pln.gaussian_stack(cfg.dim, level_count=levels)
         for delta in cfg.grid:
             g = _pln.axis_dilated_stack(f, 1.0 + float(delta))
-            m = _pln.minimal_midpoint_stack(f, g, r_samples=cfg.r_samples or 33)
+            m = _pln.minimal_midpoint_stack(f, g)
             trace = _pln.pl_trace(f, g, m)
             om = trace.omega
             bound = math.sqrt(om) if om > 0 else 0.0

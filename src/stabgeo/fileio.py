@@ -6,6 +6,10 @@ Function CSV: header ``x,value``.
 Stack file: plain text, ``dim=N levels=K`` header, then K lines of
 ``t=<height> profile=<path to profile CSV>`` (paths relative to the stack
 file).
+
+Content that does not parse, or that the loaded object's constructor
+rejects (a NaN radius, heights out of order, bodies not nested, ...), is a
+configuration error: the loaders raise ``ConfigError`` naming the file.
 """
 
 from __future__ import annotations
@@ -20,6 +24,15 @@ from .pl1d import WHOLE_LINE, GridFn1D
 from .pln import LevelStack
 
 
+def _build(path: str, kind, *args, **kwargs):
+    """``kind(*args, **kwargs)``, with a rejection of the file's content
+    reported as a ``ConfigError`` that names the file."""
+    try:
+        return kind(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _read_two_columns(path: str, expected_header: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -27,7 +40,7 @@ def _read_two_columns(path: str, expected_header: str) -> np.ndarray:
             raise ConfigError(
                 f"{path}: expected header {expected_header!r}, got {header!r}"
             )
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        data = _build(path, np.loadtxt, fh, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns")
     return data
@@ -46,7 +59,7 @@ def sniff_body_header(path: str) -> str:
 
 def load_profile(path: str, dim: int) -> RevolutionBody:
     data = _read_two_columns(path, "t,phi")
-    return RevolutionBody(dim, data[:, 0], data[:, 1])
+    return _build(path, RevolutionBody, dim, data[:, 0], data[:, 1])
 
 
 def save_profile(path: str, body: RevolutionBody) -> None:
@@ -58,7 +71,7 @@ def save_profile(path: str, body: RevolutionBody) -> None:
 
 def load_polygon(path: str, o_symmetric: bool = False) -> ConvexPolygon:
     data = _read_two_columns(path, "x,y")
-    return ConvexPolygon(data, o_symmetric=o_symmetric)
+    return _build(path, ConvexPolygon, data, o_symmetric=o_symmetric)
 
 
 def save_polygon(path: str, poly: ConvexPolygon) -> None:
@@ -77,7 +90,7 @@ def load_body(path: str, dim: int = 3, o_symmetric: bool = False):
 
 def load_gridfn(path: str, domain: str = WHOLE_LINE) -> GridFn1D:
     data = _read_two_columns(path, "x,value")
-    return GridFn1D(data[:, 0], data[:, 1], domain=domain)
+    return _build(path, GridFn1D, data[:, 0], data[:, 1], domain=domain)
 
 
 def save_gridfn(path: str, f: GridFn1D) -> None:
@@ -117,7 +130,7 @@ def load_stack(path: str) -> LevelStack:
         if not os.path.isabs(prof):
             prof = os.path.join(base, prof)
         bodies.append(load_profile(prof, dim))
-    return LevelStack(dim, np.asarray(heights), tuple(bodies))
+    return _build(path, LevelStack, dim, np.asarray(heights), tuple(bodies))
 
 
 def save_stack(path: str, stack: LevelStack, profile_prefix: str | None = None) -> None:

@@ -5,10 +5,11 @@ heights t_0 > t_1 > ... and nested coaxial bodies of revolution; it is the
 step-function discretization of an even quasi-concave function.  Integrals
 are exact layer-cake sums.  ``minimal_midpoint_stack`` builds the smallest
 stack m with m((x+y)/2) >= sqrt(f(x) g(y)) level by level, as the convex
-hull of Minkowski midpoints of level-body pairs whose heights multiply to
-the squared output level, and ``pl_trace`` follows the resulting deficit
-through the rescaled level bodies, the (alpha, beta, sigma, eta) profile
-quantities, the I/J level dissection and the L1 distances.
+hull of Minkowski midpoints of all level-body pairs whose heights multiply
+to at least the squared output level, and ``pl_trace`` follows the
+resulting deficit through the rescaled level bodies, the (alpha, beta,
+sigma, eta) profile quantities, the I/J level dissection and the L1
+distances.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .pl1d import GridFn1D, HALF_LINE
 
 DEFAULT_LEVEL_COUNT = 64
 DEFAULT_LEVEL_FLOOR = 1e-6
-DEFAULT_R_SAMPLES = 33
 _LOOKUP_RTOL = 1e-9
 
 
@@ -210,73 +210,46 @@ def _geometric_ratio(levels):
     return float(r[0]) if np.allclose(r, r[0], rtol=1e-9, atol=0.0) else None
 
 
-def minimal_midpoint_stack(f: LevelStack, g: LevelStack,
-                           r_samples=DEFAULT_R_SAMPLES) -> LevelStack:
+def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
     """Smallest stack m with m((x+y)/2) >= sqrt(f(x) g(y)), up to
     discretization slack (see ``containment_margin``).
 
-    Each output level body at height u is the convex hull of the union of
-    Minkowski midpoints ((f-body at r) + (g-body at u^2/r))/2 over a log
-    grid of r.  When both stacks live on geometric level grids with a
-    common ratio, the r grid is the stacks' own level lattice (the valid
-    pairs are the antidiagonals i + j = const), which makes the product
-    structure exact; otherwise r_samples log-spaced values of r are used.
-    The hull is exact on meridian profiles: the upper hull of the halved
-    ``profile_sum`` vertices of every pair and of the previous (higher)
-    level's hull, which keeps the levels nested.  Each level is sampled on
-    a uniform grid as fine as the finest input body.
+    The output heights u_k are log-spaced from sqrt(f_0 g_0) to
+    sqrt(f_last g_last), one per level of the longer input stack; on two
+    geometric grids of one ratio and one length they are sqrt(f_k g_k).
+    The level body at u is the convex hull of the Minkowski midpoints
+    (F_i + G_j)/2 over every pair with f_i g_j >= u^2.  Since the bodies
+    are nested, only the largest such j for each i matters, and among the
+    i sharing that j only the largest i; both are read off one sorted
+    lookup of u^2 / f_i in the g heights.  The hull is exact on meridian
+    profiles: the upper hull of the halved ``profile_sum`` vertices of the
+    kept pairs and of the previous (higher) level's hull, which keeps the
+    levels nested.  Each level is sampled on a uniform grid as fine as the
+    finest input body.
     """
     if f.dim != g.dim:
         raise UnsupportedCombinationError("midpoint stack across dimensions")
-    if r_samples < 8:
-        raise ValueError("r_samples must be at least 8")
     if f.levels[0] * g.levels[0] <= 0:
         raise EmptyFunctionError("empty level ranges")
     dim = f.dim
     m = max(len(b.t) for b in f.bodies + g.bodies)
-
-    rf = _geometric_ratio(f.levels)
-    rg = _geometric_ratio(g.levels)
-    aligned = len(f.levels) == len(g.levels) and (
-        len(f.levels) == 1
-        or (rf is not None and rg is not None and abs(rf - rg) <= 1e-9 * abs(rf))
-    )
-
-    out_levels = []
-    out_pairs = []
-    if aligned:
-        K = len(f.levels)
-        for k in range(K):
-            i_lo = max(0, 2 * k - (K - 1))
-            i_hi = min(K - 1, 2 * k)
-            pairs = [(i, 2 * k - i) for i in range(i_lo, i_hi + 1)]
-            out_levels.append(math.sqrt(f.levels[k] * g.levels[k]))
-            out_pairs.append(pairs)
-    else:
-        u_top = math.sqrt(f.levels[0] * g.levels[0])
-        u_bot = math.sqrt(f.levels[-1] * g.levels[-1])
-        count = max(len(f.levels), len(g.levels))
-        for u in np.geomspace(u_top, u_bot, count):
-            r_lo = u * u / g.levels[0]
-            r_hi = f.levels[0]
-            if not (0.0 < r_lo <= r_hi * (1.0 + 1e-12)):
-                continue
-            pairs = []
-            for r in np.geomspace(r_lo, r_hi, r_samples):
-                i = f.body_index_at(r)
-                j = g.body_index_at(u * u / r)
-                if i is not None and j is not None:
-                    pairs.append((i, j))
-            if pairs:
-                out_levels.append(u)
-                out_pairs.append(sorted(set(pairs)))
-    if not out_levels:
-        raise EmptyFunctionError("no midpoint level has a nonempty pair set")
+    u = np.geomspace(math.sqrt(f.levels[0] * g.levels[0]),
+                     math.sqrt(f.levels[-1] * g.levels[-1]),
+                     max(len(f.levels), len(g.levels)))
+    # J[k, i]: largest j with g_j >= u_k^2 / f_i (tolerant as body_index_at),
+    # -1 when there is none; J is nonincreasing in i
+    need = (u[:, None] * u[:, None]) / f.levels[None, :] * (1.0 - _LOOKUP_RTOL)
+    J = np.searchsorted(-g.levels, -need, side="right") - 1
+    keep = J >= 0
+    keep[:, :-1] &= J[:, :-1] != J[:, 1:]
+    if not keep[0].any():
+        raise EmptyFunctionError("the top midpoint level has no valid pair")
 
     out_bodies = []
     hull = (np.empty(0), np.empty(0))
-    for pairs in out_pairs:
-        sums = [_bodies.profile_sum(f.bodies[i], g.bodies[j]) for i, j in pairs]
+    for J_k, keep_k in zip(J, keep):
+        sums = [_bodies.profile_sum(f.bodies[i], g.bodies[J_k[i]])
+                for i in np.flatnonzero(keep_k)]
         hull = _bodies.upper_hull(
             np.concatenate([0.5 * ts for ts, _ in sums] + [hull[0]]),
             np.concatenate([0.5 * rs for _, rs in sums] + [hull[1]]),
@@ -284,7 +257,7 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack,
         t = np.linspace(-hull[0][-1], hull[0][-1], m)
         phi = np.interp(t, *hull)
         out_bodies.append(RevolutionBody(dim, t, 0.5 * (phi + phi[::-1])))
-    return LevelStack(dim, np.array(out_levels), tuple(out_bodies))
+    return LevelStack(dim, u, tuple(out_bodies))
 
 
 def containment_margin(f: LevelStack, g: LevelStack, m: LevelStack,

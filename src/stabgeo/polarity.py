@@ -202,62 +202,47 @@ def bs_deficit(K: BodyRef) -> SantaloResult:
 # ---------------------------------------------------------------------------
 
 
-def _meridian_segments(t, r):
-    P = np.column_stack([t, r])
-    segs_a = [P[:-1]]
-    segs_b = [P[1:]]
-    if r[0] > 0:
-        segs_a.append(np.array([[t[0], 0.0]]))
-        segs_b.append(np.array([[t[0], r[0]]]))
-    if r[-1] > 0:
-        segs_a.append(np.array([[t[-1], 0.0]]))
-        segs_b.append(np.array([[t[-1], r[-1]]]))
-    return np.vstack(segs_a), np.vstack(segs_b)
-
-
-def _min_origin_distance(A, B):
-    d = B - A
-    denom = np.einsum("ij,ij->i", d, d)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    s = np.clip(-np.einsum("ij,ij->i", A, d) / denom, 0.0, 1.0)
-    proj = A + s[:, None] * d
-    return float(np.min(np.hypot(proj[:, 0], proj[:, 1])))
-
-
 def bm_distance_to_ball(K: BodyRef) -> float:
     """Banach-Mazur distance ln(R/r) to the ball, minimized over the
     revolution-preserving transform class (axis scaling x cross-section
     scaling).  For o-symmetric bodies the sandwiching is centred at o, so
     the distance is the log circum/in-radius ratio of the transformed
-    meridian; after scale normalization a single parameter remains and is
-    minimized by golden-section search.
+    meridian polygon; after scale normalization one parameter u remains,
+    the map (t, r) -> (t e^-u, r e^u).  It has determinant 1, so each
+    meridian edge keeps its cross product c, and on the upper-hull vertices
+    (t_k, r_k) and edges (dt_j, dr_j, c_j)
+
+        R(u)^2   = max_k  t_k^2 e^-2u + r_k^2 e^2u
+        1/r(u)^2 = max_j (dt_j^2 e^-2u + dr_j^2 e^2u) / c_j^2
+
+    (the polygon is convex and contains o, so its inradius about o is the
+    distance to the nearest edge line).  Both are maxima of log-convex
+    terms, so ln(R/r) is convex in u and one bounded scalar search finds
+    its global minimum.
     """
     if isinstance(K, Ball):
         return 0.0
     if not isinstance(K, RevolutionBody):
         raise UnsupportedCombinationError("bm_distance_to_ball needs a body of revolution")
-    t = K.t
-    r = K.radius
+    t, r = bodies.upper_hull(K.t, K.radius)
+    dt, dr = np.diff(t), np.diff(r)
+    c2 = (t[:-1] * r[1:] - t[1:] * r[:-1]) ** 2
+    # the vertical end edges t = +-alpha (distance alpha e^-u); when r_end = 0
+    # the term is the distance to a boundary point, which never sets the max
+    edge_a = np.append(dt * dt / c2, 0.0)
+    edge_b = np.append(dr * dr / c2, 1.0 / (K.alpha * K.alpha))
+    t2, r2 = t * t, r * r
 
     def ratio(u):
-        e = math.exp(u)
-        A, B = _meridian_segments(t / e, r * e)
-        rin = _min_origin_distance(A, B)
-        if rin <= 0:
-            return np.inf
-        verts = np.vstack([A, B])
-        rout = float(np.max(np.hypot(verts[:, 0], verts[:, 1])))
-        return math.log(rout / rin)
+        w = math.exp(2.0 * u)
+        out2 = np.max(t2 / w + r2 * w)
+        inv_in2 = np.max(edge_a / w + edge_b * w)
+        return 0.5 * math.log(out2 * inv_in2)
 
     span = math.log(K.dim) + 1.5
-    grid = np.linspace(-span, span, 97)
-    vals = np.array([ratio(u) for u in grid])
-    k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(ratio, bounds=(lo, hi), method="bounded",
+    res = minimize_scalar(ratio, bounds=(-span, span), method="bounded",
                           options=dict(xatol=1e-12))
-    return max(0.0, min(float(res.fun), float(vals[k])))
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

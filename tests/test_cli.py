@@ -186,7 +186,15 @@ def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys):
         bad = tmp_path / name
         bad.write_text(text)
         assert main(["pln", "--f", str(bad), "--g", str(good)]) == 1
-    assert capsys.readouterr().err.count("config error") == 3
+    # content the constructors reject: two level lines swapped, a NaN radius
+    head, first, second, *rest = good.read_text().splitlines()
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text("\n".join([head, second, first, *rest]) + "\n")
+    assert main(["pln", "--f", str(swapped), "--g", str(good)]) == 1
+    nan = tmp_path / "nan.csv"
+    nan.write_text("t,phi\n-1,0\n0,nan\n1,0\n")
+    assert main(["santalo", "--body", str(nan), "--profile"]) == 1
+    assert capsys.readouterr().err.count("config error") == 5
 
 
 def test_cli_pln_scan_subcommand(tmp_path, capsys):
@@ -205,6 +213,14 @@ def test_cli_config_for_another_experiment_is_config_error(tmp_path, capsys):
     assert main(["pl-scan", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_cli_family_is_pl_scan_only(tmp_path, capsys):
+    assert main(["cap-scan", "--grid", "1e-3,1e-2,2e-2", "--family", "nonsense"]) == 1
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("experiment=cap-scan\ngrid=1e-3,1e-2,2e-2\nfamily=shift\n")
+    assert main(["cap-scan", "--config", str(cfg)]) == 1
+    assert "family applies to pl-scan only" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_2(tmp_path, capsys):

@@ -153,10 +153,42 @@ def test_minimal_midpoint_deficit_direction():
         assert stack_integral(m) - 1.0 >= -1e-9
 
 
-def test_minimal_midpoint_r_samples_floor():
-    f = gaussian_stack(3, level_count=16, samples=65)
-    with pytest.raises(ValueError):
-        minimal_midpoint_stack(f, f, r_samples=4)
+def _all_pairs_midpoint_levels(f, g, levels):
+    """Oracle: each level at u is the hull of the halved sums of every pair
+    (i, j) with f_i g_j >= u^2, with no pruning, sampled like the builder."""
+    m = max(len(b.t) for b in f.bodies + g.bodies)
+    out = []
+    for u in levels:
+        sums = [bodies.profile_sum(bf, bg)
+                for fi, bf in zip(f.levels, f.bodies)
+                for gj, bg in zip(g.levels, g.bodies)
+                if fi * gj >= u * u * (1.0 - 1e-9)]
+        ht, hr = bodies.upper_hull(np.concatenate([0.5 * ts for ts, _ in sums]),
+                                   np.concatenate([0.5 * rs for _, rs in sums]))
+        t = np.linspace(-ht[-1], ht[-1], m)
+        phi = np.interp(t, ht, hr)
+        out.append((t, 0.5 * (phi + phi[::-1])))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["12x8", "32x24", "aligned"])
+def test_minimal_midpoint_matches_all_pairs_oracle(shape):
+    rng = np.random.default_rng(11)
+    if shape == "aligned":
+        f = random_log_concave_stack(3, rng, level_count=16, samples=65)
+        g = random_log_concave_stack(3, rng, level_count=16, samples=65)
+    else:
+        kf, kg = map(int, shape.split("x"))
+        f = random_log_concave_stack(3, rng, level_count=kf, samples=65, floor=1e-5)
+        g = random_log_concave_stack(3, rng, level_count=kg, samples=65, floor=1e-4)
+    m = minimal_midpoint_stack(f, g)
+    u = np.geomspace(math.sqrt(f.levels[0] * g.levels[0]),
+                     math.sqrt(f.levels[-1] * g.levels[-1]), len(m.levels))
+    assert np.allclose(m.levels, u, rtol=1e-14, atol=0.0)
+    for body, (t, r) in zip(m.bodies, _all_pairs_midpoint_levels(f, g, m.levels)):
+        scale = float(np.max(r))
+        assert float(np.max(np.abs(body.t - t))) <= 1e-12 * t[-1]
+        assert float(np.max(np.abs(body.radius - r))) <= 1e-12 * scale
 
 
 def test_containment_margin_small():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from stabgeo import bodies, polarity
 from stabgeo.bodies import Ball, ConvexPolygon, revolution_ball, revolution_cylinder, volume
@@ -265,6 +266,45 @@ def test_bm_distance_john_bound():
         K = bodies.random_revolution_body(n, rng, samples=1025,
                                           amplitude=rng.uniform(0.0, 1.0))
         assert bm_distance_to_ball(K) <= math.log(n) + 1e-3
+
+
+def _bm_distance_by_segments(K):
+    """Oracle: ln(circumradius / inradius) of the transformed meridian from
+    point-to-segment distances over the raw samples, minimized on a dense
+    grid of the transform parameter and refined by a bounded search."""
+    t, r = K.t, K.radius
+    P = np.column_stack([t, r])
+    A = np.vstack([P[:-1], [[t[0], 0.0], [t[-1], 0.0]]])
+    B = np.vstack([P[1:], [[t[0], r[0]], [t[-1], r[-1]]]])
+
+    def ratio(u):
+        e = math.exp(u)
+        a, b = A * [1.0 / e, e], B * [1.0 / e, e]
+        d = b - a
+        den = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
+        s = np.clip(-np.einsum("ij,ij->i", a, d) / den, 0.0, 1.0)
+        rin = float(np.min(np.hypot(*(a + s[:, None] * d).T)))
+        rout = float(np.max(np.hypot(*np.vstack([a, b]).T)))
+        return math.log(rout / rin)
+
+    span = math.log(K.dim) + 1.5
+    grid = np.linspace(-span, span, 801)
+    vals = [ratio(u) for u in grid]
+    k = int(np.argmin(vals))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    res = minimize_scalar(ratio, bounds=(lo, hi), method="bounded",
+                          options=dict(xatol=1e-12))
+    return min(float(res.fun), vals[k])
+
+
+def test_bm_distance_matches_segment_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(24):
+        n = int(rng.integers(2, 6))
+        samples = int(rng.choice([9, 17, 65, 257, 1025, 2049]))
+        K = bodies.random_revolution_body(n, rng, samples=samples,
+                                          amplitude=rng.uniform(0.0, 1.0))
+        assert abs(bm_distance_to_ball(K) - _bm_distance_by_segments(K)) <= 5e-9
 
 
 # ---------------------------------------------------------------------------
