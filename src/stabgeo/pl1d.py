@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .bodies import _trapezoid
-from .errors import ConvergenceError, EmptyFunctionError
+from .errors import ConvergenceError, EmptyFunctionError, InvalidDataError
 
 DEFAULT_GRID_SAMPLES = 4097
 
@@ -104,6 +104,10 @@ def _support_slice(f: GridFn1D):
     pos = np.flatnonzero(f.values > 0)
     if len(pos) == 0:
         raise EmptyFunctionError("function has an empty positivity set")
+    if len(pos) == 1:
+        raise InvalidDataError(
+            f"positivity set is the one sample x = {float(f.grid[pos[0]])!r}; "
+            "a midpoint needs at least two")
     return f.grid[pos[0]:pos[-1] + 1], f.values[pos[0]:pos[-1] + 1]
 
 
@@ -112,21 +116,112 @@ def _is_uniform(x):
     return np.all(np.abs(d - d[0]) <= 1e-9 * abs(d[0]))
 
 
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_BLOCK_ELEMENTS = 2 ** 16  # 512 KB of float64: one block stays in cache
+
+
 def _max_plus_antidiagonal(la, lb):
-    """out[k] = max over i + j = k of la[i] + lb[j], with -inf as the zero."""
+    """out[k] = max over i + j = k of la[i] + lb[j], with -inf as the zero.
+
+    Exhaustive: the shorter sequence indexes the rows of cache-sized
+    blocks, each row holding its sums with the whole longer sequence."""
+    if len(la) > len(lb):
+        la, lb = lb, la
     na, nb = len(la), len(lb)
     out = np.full(na + nb - 1, -np.inf)
-    rows = max(1, min(na, int(2 ** 21 // (nb + 1))))
+    rows = max(1, min(na, _BLOCK_ELEMENTS // (nb + 1)))
+    flat = np.empty(rows * (rows + nb))
     for i0 in range(0, na, rows):
-        i1 = min(na, i0 + rows)
-        m = i1 - i0
-        buf = np.full((m, m + nb), -np.inf)
-        buf[:, :nb] = la[i0:i1, None] + lb[None, :]
+        m = min(rows, na - i0)
+        buf = flat[:m * (m + nb)].reshape(m, m + nb)
+        np.add(la[i0:i0 + m, None], lb[None, :], out=buf[:, :nb])
+        buf[:, nb:] = -np.inf
         # row r shifts right by r after the reshape, aligning antidiagonals
-        shifted = buf.ravel()[:-m].reshape(m, m + nb - 1) if m > 1 else buf[:, :nb + m - 1]
-        colmax = shifted.max(axis=0)
-        sl = slice(i0, i0 + m + nb - 1)
-        out[sl] = np.maximum(out[sl], colmax)
+        shifted = buf.ravel()[:-m].reshape(m, m + nb - 1) if m > 1 else buf[:, :nb]
+        sl = out[i0:i0 + m + nb - 1]
+        np.maximum(sl, shifted.max(axis=0), out=sl)
+    return out
+
+
+def _log_core(l):
+    """[start, stop) of the contiguous run of entries >= log(tiny) when that
+    run is concave up to rounding noise, else None.  Logs of subnormal
+    values carry too few bits to be concave, so they stay outside."""
+    idx = np.flatnonzero(l >= _LOG_TINY)
+    if len(idx) == 0 or idx[-1] - idx[0] + 1 != len(idx):
+        return None
+    core = l[idx[0]:idx[-1] + 1]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(core))))
+    if len(core) >= 3 and not np.all(np.diff(core, 2) <= tol):
+        return None
+    return idx[0], idx[-1] + 1
+
+
+def _exact_differences(l):
+    """(hi, lo) with hi + lo = l[1:] - l[:-1] exactly (Knuth's TwoSum):
+    hi is the rounded difference, so (hi, lo) in lexicographic order is the
+    order of the exact differences."""
+    a, b = l[1:], -l[:-1]
+    hi = a + b
+    bb = hi - a
+    return hi, (a - (hi - bb)) + (b - bb)
+
+
+def _slope_merge(ca, cb):
+    """Max-plus of two concave sequences by merging their differences in
+    decreasing order; None when the merge cannot be certified exact.
+
+    The split i of output k counts the differences of ca among the k
+    largest of both sequences; the output takes the first i differences of
+    ca and the first k - i of cb.  The split is certified when every
+    difference of each sequence left out is at most every difference of
+    the other taken in, compared exactly: then every other split sums to at
+    most the same real value, and rounding is monotone, so ca[i] + cb[k - i]
+    is bit for bit the maximum of the rounded candidate sums."""
+    na = len(ca)
+    hi_a, lo_a = _exact_differences(ca)
+    hi_b, lo_b = _exact_differences(cb)
+    hi, lo = np.concatenate((hi_a, hi_b)), np.concatenate((lo_a, lo_b))
+    if not np.all(np.isfinite(lo)):
+        return None
+    order = np.lexsort((-lo, -hi))  # stable: decreasing, ca first on ties
+    v = np.empty_like(order)
+    v[order] = -np.arange(len(order))  # larger difference, larger v
+    va, vb = v[:na - 1], v[na - 1:]
+    i = np.concatenate(([0], np.cumsum(order < na - 1)))
+    j = np.arange(len(i)) - i
+    big = np.iinfo(np.intp).max
+    left_a = np.append(np.maximum.accumulate(va[::-1])[::-1], -big)
+    taken_a = np.concatenate(([big], np.minimum.accumulate(va)))
+    left_b = np.append(np.maximum.accumulate(vb[::-1])[::-1], -big)
+    taken_b = np.concatenate(([big], np.minimum.accumulate(vb)))
+    if not np.all((left_a[i] <= taken_b[j]) & (left_b[j] <= taken_a[i])):
+        return None
+    return ca[i] + cb[j]
+
+
+def _max_plus(la, lb):
+    """out[k] = max over i + j = k of la[i] + lb[j], with -inf as the zero.
+
+    Bit-identical to the exhaustive kernel.  When both sequences are
+    concave on their cores, the cores go through the O(n log n) slope merge
+    and only the tails (subnormal or -inf entries) go through the
+    exhaustive kernel, each against the whole other sequence."""
+    ca, cb = _log_core(la), _log_core(lb)
+    mid = None
+    if ca is not None and cb is not None:
+        (a0, a1), (b0, b1) = ca, cb
+        mid = _slope_merge(la[a0:a1], lb[b0:b1])
+    if mid is None:
+        return _max_plus_antidiagonal(la, lb)
+    out = np.full(len(la) + len(lb) - 1, -np.inf)
+    out[a0 + b0:a1 + b1 - 1] = mid
+    tails = [(s, la[s:e], lb) for s, e in ((0, a0), (a1, len(la))) if e > s]
+    tails += [(a0 + s, la[a0:a1], lb[s:e]) for s, e in ((0, b0), (b1, len(lb))) if e > s]
+    for off, x, y in tails:
+        part = _max_plus_antidiagonal(x, y)
+        sl = out[off:off + len(part)]
+        np.maximum(sl, part, out=sl)
     return out
 
 
@@ -158,7 +253,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
         step = min(np.median(np.diff(xf)), np.median(np.diff(xg)))
         nf = max(2, int(round((xf[-1] - xf[0]) / step)) + 1)
         ng = max(2, int(round((xg[-1] - xg[0]) / step)) + 1)
-        xf, vf = np.linspace(xf[0], xf[-1], nf), None
+        xf = np.linspace(xf[0], xf[-1], nf)
         vf = f.at(xf)
         xg = np.linspace(xg[0], xg[-1], ng)
         vg = g.at(xg)
@@ -166,7 +261,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
     with np.errstate(divide="ignore"):
         la = np.log(vf)
         lb = np.log(vg)
-    ls = 0.5 * _max_plus_antidiagonal(la, lb)
+    ls = 0.5 * _max_plus(la, lb)
     grid = 0.5 * (xf[0] + xg[0]) + 0.5 * step * np.arange(len(ls))
     vals = np.exp(ls)
     domain = HALF_LINE if (f.domain == HALF_LINE and g.domain == HALF_LINE) else WHOLE_LINE

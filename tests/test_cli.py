@@ -232,3 +232,15 @@ def test_cli_numerical_failure_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "numerical failure" in captured.err
+
+
+def test_cli_one_sample_support_exit_2(tmp_path, capsys):
+    hat = tmp_path / "hat.csv"
+    hat.write_text("x,value\n0,0\n1,1\n2,0\n")
+    tri = tmp_path / "tri.csv"
+    tri.write_text("x,value\n0,0\n1,1\n2,2\n3,1\n4,0\n")
+    code = main(["pl1d", "--f", str(hat), "--g", str(tri)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "numerical failure: InvalidDataError" in captured.err
+    assert "one sample x = 1.0" in captured.err

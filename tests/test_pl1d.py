@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PAIR_GRID,
@@ -118,6 +121,136 @@ def test_supconv_log_concavity_closure():
         m = sup_convolution_midpoint(f, g)
         assert m.log_concave
         assert pl1d._log_concave_ok(m.grid, m.values, tol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# max-plus kernel
+# ---------------------------------------------------------------------------
+
+
+def naive_max_plus(la, lb):
+    """Oracle: out[i + j] = max of la[i] + lb[j], one row of sums at a time."""
+    out = np.full(len(la) + len(lb) - 1, -np.inf)
+    for i, a in enumerate(la):
+        row = out[i:i + len(lb)]
+        np.maximum(row, a + lb, out=row)
+    return out
+
+
+def assert_bitwise(got, want):
+    # + 0.0 maps -0.0 to 0.0: the sign of a zero maximum depends on the
+    # order of comparison, and logs of data never produce -0.0
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+_VALUES = st.floats(min_value=-50.0, max_value=50.0)
+_SLOPES = st.floats(min_value=-20.0, max_value=20.0)
+# non-dyadic slopes shared by both sequences: cumulative sums carry rounding
+# noise, so the two runs of one slope differ in the last bits
+_TIED_SLOPES = st.sampled_from([-3.0, -0.7, -0.1, 0.0, 0.1, 0.7, 3.0])
+# -inf (a zero) and logs of subnormal values
+_TAIL = st.one_of(st.just(-np.inf), st.floats(min_value=-745.0, max_value=-708.5))
+
+
+@st.composite
+def concave_logs(draw, slopes=_SLOPES, max_size=40):
+    start = draw(_VALUES)
+    d = sorted(draw(st.lists(slopes, max_size=max_size)), reverse=True)
+    return start + np.concatenate(([0.0], np.cumsum(d)))
+
+
+@st.composite
+def with_tails(draw, core):
+    left = draw(st.lists(_TAIL, max_size=3))
+    right = draw(st.lists(_TAIL, max_size=3))
+    return np.concatenate((left, draw(core), right))
+
+
+_GENERAL = st.lists(st.one_of(_VALUES, st.just(-np.inf)), min_size=1, max_size=40).map(np.array)
+_CONSTANT = st.builds(np.full, st.integers(1, 40), _VALUES)
+_ANY = st.one_of(concave_logs(), concave_logs(_TIED_SLOPES), _GENERAL, _CONSTANT,
+                 with_tails(concave_logs()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(concave_logs(), concave_logs())
+def test_max_plus_concave_matches_oracle(la, lb):
+    assert_bitwise(pl1d._max_plus(la, lb), naive_max_plus(la, lb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(concave_logs(_TIED_SLOPES), concave_logs(_TIED_SLOPES))
+def test_max_plus_tied_slopes_match_oracle(la, lb):
+    assert_bitwise(pl1d._max_plus(la, lb), naive_max_plus(la, lb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_tails(concave_logs()), with_tails(concave_logs()))
+def test_max_plus_tails_match_oracle(la, lb):
+    assert_bitwise(pl1d._max_plus(la, lb), naive_max_plus(la, lb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY, _ANY)
+def test_max_plus_any_pair_matches_oracle(la, lb):
+    assert_bitwise(pl1d._max_plus(la, lb), naive_max_plus(la, lb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=2).map(np.array), _ANY)
+def test_max_plus_lengths_one_and_two(la, lb):
+    assert_bitwise(pl1d._max_plus(la, lb), naive_max_plus(la, lb))
+    assert_bitwise(pl1d._max_plus(lb, la), naive_max_plus(lb, la))
+
+
+def test_max_plus_long_and_short_in_both_orders():
+    rng = np.random.default_rng(3)
+    x = np.linspace(-8.0, 8.0, 5121)
+    concave = -0.5 * (x - 0.3) ** 2
+    general = rng.normal(size=5121)
+    for long in (concave, general):
+        for short in (-np.abs(x[::400]), rng.normal(size=13), np.zeros(1)):
+            assert_bitwise(pl1d._max_plus(long, short), naive_max_plus(long, short))
+            assert_bitwise(pl1d._max_plus(short, long), naive_max_plus(short, long))
+    assert_bitwise(pl1d._max_plus(general[:700], general[-700:]),
+                   naive_max_plus(general[:700], general[-700:]))
+
+
+def test_max_plus_exhaustive_only_on_tails(monkeypatch):
+    """Criterion-6 style pairs: the cores go through the slope merge and the
+    exhaustive kernel sees only the few subnormal tail samples."""
+    shapes = []
+    exhaustive = pl1d._max_plus_antidiagonal
+
+    def counting(la, lb):
+        shapes.append((len(la), len(lb)))
+        return exhaustive(la, lb)
+
+    monkeypatch.setattr(pl1d, "_max_plus_antidiagonal", counting)
+    rng = np.random.default_rng(99)
+    for _ in range(10):
+        F = random_decreasing_logconcave(rng)
+        G = random_decreasing_logconcave(rng)
+        sup_convolution_midpoint(F, G, "geometric")
+    assert shapes, "no pair had a subnormal tail"
+    assert max(min(shape) for shape in shapes) <= 32
+
+
+@pytest.mark.parametrize("na, nb", [(5121, 13), (13, 5121)])
+def test_max_plus_memory_is_bounded(na, nb):
+    rng = np.random.default_rng(5)
+    x = np.linspace(-8.0, 8.0, max(na, nb))
+    pairs = [(rng.normal(size=na), rng.normal(size=nb)),
+             (-x[:na] ** 2, -np.abs(x[:nb]))]
+    for la, lb in pairs:
+        tracemalloc.start()
+        try:
+            pl1d._max_plus(la, lb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
