@@ -315,9 +315,17 @@ def exp_substitution(H: GridFn1D) -> GridFn1D:
 
 
 def _l1_between(xa, va, xb, vb):
-    xs = np.union1d(xa, xb)
-    d = np.interp(xs, xa, va, left=0.0, right=0.0) - np.interp(xs, xb, vb, left=0.0, right=0.0)
-    return float(_trapezoid(np.abs(d), xs))
+    """int |A - B| for the piecewise-linear A on the increasing grid xa and
+    B on xb (both zero outside), by the trapezoid rule on the union of the
+    grids.  The concatenation is two sorted runs, which a stable sort merges
+    in linear time; the sum is numpy's own trapezoid, term for term."""
+    xs = np.sort(np.concatenate((xa, xb)), kind="stable")
+    same = xs[1:] == xs[:-1]
+    if same.any():
+        xs = xs[np.append(True, ~same)]
+    y = np.abs(np.interp(xs, xa, va, left=0.0, right=0.0)
+               - np.interp(xs, xb, vb, left=0.0, right=0.0))
+    return float(np.add.reduce(np.diff(xs) * (y[1:] + y[:-1]) / 2.0))
 
 
 def _shift_l1(f: GridFn1D, m: GridFn1D, a: float, b: float) -> float:

@@ -30,6 +30,7 @@ from stabgeo.pl1d import (
 
 INDICATOR_DEFICIT = 3.0 / (2.0 * math.sqrt(2.0)) - 1.0  # int m = 3, sqrt(2*4)
 OMEGA_AT_EXP_MINUS_3 = math.exp(-1.0) * 3.0 ** (4.0 / 3.0)
+_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 def gaussian(samples=4097, half_width=6.0):
@@ -354,6 +355,46 @@ def test_substitution_equivalence():
 # ---------------------------------------------------------------------------
 # stability distance
 # ---------------------------------------------------------------------------
+
+
+def _l1_between_union(xa, va, xb, vb):
+    """The union-grid L1 formula the merged kernel replaced (oracle)."""
+    xs = np.union1d(xa, xb)
+    d = np.interp(xs, xa, va, left=0.0, right=0.0) - np.interp(xs, xb, vb, left=0.0, right=0.0)
+    return float(_trapz(np.abs(d), xs))
+
+
+_OFFSETS = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@st.composite
+def l1_pairs(draw):
+    """Two grids on [-3, 3] with values: a shared grid, a shifted or scaled
+    copy (the stability-distance calls), or two independent uniform grids."""
+    n = draw(st.integers(2, 120))
+    xa = np.linspace(-3.0, 3.0, n)
+    kind = draw(st.sampled_from(["shared", "shifted", "scaled", "uniform"]))
+    if kind == "shared":
+        xb = xa.copy()
+    elif kind == "shifted":
+        xb = np.linspace(-3.0, 3.0, draw(st.integers(2, 120))) - draw(_OFFSETS)
+    elif kind == "scaled":
+        xb = xa / draw(st.floats(min_value=0.2, max_value=5.0))
+    else:
+        xb = np.unique(np.array(draw(st.lists(_OFFSETS, min_size=2, max_size=120))))
+        if len(xb) < 2:
+            xb = np.array([-1.0, 1.0])
+    va = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    vb = np.exp(-xb * xb) * draw(st.floats(min_value=0.1, max_value=10.0))
+    return xa, va, xb, vb
+
+
+@settings(max_examples=400, deadline=None)
+@given(l1_pairs())
+def test_l1_between_matches_union_oracle(pair):
+    xa, va, xb, vb = pair
+    assert pl1d._l1_between(xa, va, xb, vb) == _l1_between_union(xa, va, xb, vb)
+    assert pl1d._l1_between(xb, vb, xa, va) == _l1_between_union(xb, vb, xa, va)
 
 
 def test_stability_identity():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from stabgeo import bodies, polarity
 from stabgeo.bodies import Ball, ConvexPolygon, revolution_ball, revolution_cylinder, volume
@@ -186,6 +186,86 @@ def test_santalo_scalene_triangle_vs_grid_oracle():
     assert resid <= 1e-6 * diam
     z_oracle = _grid_search_oracle(K)
     assert np.linalg.norm(res.point - z_oracle) <= 1e-3 * diam
+
+
+TRIANGLE_DEFICIT = 4.0 * math.pi ** 2 / 27.0 - 1.0  # |K| |K^c| = 27/4 at the centroid
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("tri", [[[0.0, 0.0], [4.0, 0.0], [0.0, 2.0]],
+                                 [[0.0, 0.0], [1.0, 0.0], [3.0, 0.5]]],
+                         ids=["right", "obtuse"])
+def test_santalo_triangle_closed_form(tri, scale, offset):
+    # every triangle is affinely regular: its Santalo point is its centroid
+    # and its deficit is 4 pi^2 / 27 - 1, wherever it sits and at any size
+    V = np.asarray(tri) * scale
+    diam = float(np.max(np.linalg.norm(V[:, None] - V[None], axis=2)))
+    V = V + offset * diam * np.array([0.6, -0.8])
+    res = santalo_point(ConvexPolygon(V))
+    centroid = V[0] + (V - V[0]).mean(axis=0)
+    assert res.bs_deficit == pytest.approx(TRIANGLE_DEFICIT, abs=1e-12)
+    assert np.linalg.norm(res.point - centroid) <= 1e-12 * diam
+
+
+def _multistart_santalo(K):
+    """The Nelder-Mead multistart search the Newton iteration replaced
+    (oracle): five starts at and around the centroid, then refinement until
+    the centroid certificate holds to 1e-6 diameters."""
+    diam = polarity._polygon_diameter(K)
+
+    def objective(z):
+        try:
+            return volume(polar(K, z))
+        except InvalidCenterError:
+            return np.inf
+
+    c0 = bodies.polygon_centroid(K.vertices)
+    starts = [c0] + [c0 + 0.05 * diam * np.asarray(d, float)
+                     for d in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    best = None
+    for s in starts:
+        if not np.isfinite(objective(s)):
+            continue
+        res = minimize(objective, s, method="Nelder-Mead",
+                       options=dict(xatol=1e-10 * diam, fatol=1e-14, maxiter=4000))
+        if best is None or res.fun < best.fun:
+            best = res
+    z = best.x
+    for _ in range(4):
+        resid = np.linalg.norm(bodies.polygon_centroid(polar(K, z).vertices) - z)
+        if resid <= 1e-6 * diam:
+            return z
+        z = minimize(objective, z, method="Nelder-Mead",
+                     options=dict(xatol=1e-12 * diam, fatol=1e-16, maxiter=4000)).x
+    raise AssertionError("the multistart oracle did not converge")
+
+
+def test_santalo_matches_multistart_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        K = bodies.random_polygon(rng)
+        diam = polarity._polygon_diameter(K)
+        res = santalo_point(K)
+        z = _multistart_santalo(K)
+        assert np.linalg.norm(res.point - z) <= 1e-8 * diam
+        oracle_deficit = math.pi ** 2 / (volume(K) * volume(polar(K, z))) - 1.0
+        assert res.bs_deficit == pytest.approx(oracle_deficit, abs=1e-12)
+        resid = np.linalg.norm(bodies.polygon_centroid(
+            polarity._polar_vertices(K.vertices, res.point)))
+        assert resid <= 1e-10 * diam
+
+
+def test_santalo_certificate_at_rounding_level():
+    # the last Newton steps change |K^z| by less than its rounding, so they
+    # must be taken on the predicted decrease, not on a comparison of areas
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        K = bodies.random_polygon(rng, points=int(rng.integers(3, 40)))
+        z = santalo_point(K).point
+        diam = polarity._polygon_diameter(K)
+        c = bodies.polygon_centroid(polarity._polar_vertices(K.vertices, z))
+        assert diam * np.linalg.norm(c) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
