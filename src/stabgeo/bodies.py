@@ -120,10 +120,11 @@ class ConvexPolygon:
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise DegenerateBodyError("polygon needs at least 3 planar vertices")
         scale = float(np.max(np.abs(V))) or 1.0
-        edges = np.roll(V, -1, axis=0) - V
+        edges = _next_vertices(V) - V
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * scale):
             raise DegenerateBodyError("duplicate adjacent vertices")
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        turn = _next_vertices(edges)
+        cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
         if np.any(cross <= -1e-9 * scale * scale):
             raise DegenerateBodyError("vertex cycle is not convex/counterclockwise")
         if polygon_area(V) <= 1e-12 * scale * scale:
@@ -323,17 +324,24 @@ def random_polygon(rng, points=12) -> ConvexPolygon:
 # ---------------------------------------------------------------------------
 
 
+def _next_vertices(V: np.ndarray) -> np.ndarray:
+    """V shifted by one place, np.roll(V, -1, axis=0) without its overhead."""
+    return np.concatenate((V[1:], V[:1]))
+
+
 def polygon_area(V: np.ndarray) -> float:
     x, y = V[:, 0], V[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    W = _next_vertices(V)
+    return 0.5 * float(np.sum(x * W[:, 1] - W[:, 0] * y))
 
 
 def polygon_centroid(V: np.ndarray) -> np.ndarray:
     x, y = V[:, 0], V[:, 1]
-    cr = x * np.roll(y, -1) - np.roll(x, -1) * y
+    W = _next_vertices(V)
+    cr = x * W[:, 1] - W[:, 0] * y
     a = 0.5 * np.sum(cr)
-    cx = np.sum((x + np.roll(x, -1)) * cr) / (6.0 * a)
-    cy = np.sum((y + np.roll(y, -1)) * cr) / (6.0 * a)
+    cx = np.sum((x + W[:, 0]) * cr) / (6.0 * a)
+    cy = np.sum((y + W[:, 1]) * cr) / (6.0 * a)
     return np.array([cx, cy])
 
 
@@ -497,43 +505,48 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
 # ---------------------------------------------------------------------------
 
 
-def clip_polygons(P: ConvexPolygon, Q: ConvexPolygon) -> np.ndarray:
-    """Sutherland-Hodgman intersection of two convex polygons (vertex array,
-    possibly empty)."""
-    out = [tuple(p) for p in P.vertices]
-    CV = Q.vertices
-    for k in range(len(CV)):
+def clip_polygons(PV: np.ndarray, CV: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman intersection of two convex polygons given as ccw
+    vertex arrays (vertex array, possibly empty).
+
+    A point counts as inside an edge line when it lies at most 1e-14 times
+    the largest coordinate magnitude outside it.  The cross product that
+    tests it is rounded by a few units of 2^-52 times the edge length and
+    that magnitude, so the tolerance scales with the polygons and with their
+    distance from the origin, and stays small enough that the clip credits
+    a long edge lying along the clip line with little area.
+    """
+    size = max(float(np.max(np.abs(PV))), float(np.max(np.abs(CV))))
+    out = [tuple(p) for p in PV.tolist()]
+    CV = CV.tolist()
+    for (ax, ay), (bx, by) in zip(CV, CV[1:] + CV[:1]):
         if not out:
             return np.empty((0, 2))
-        a = CV[k]
-        b = CV[(k + 1) % len(CV)]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-
-        def inside(p):
-            return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= -1e-12
-
-        def intersection(p, q):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dy - ey * dx
-            s = (ex * (a[1] - p[1]) - ey * (a[0] - p[0])) / denom
-            return (p[0] + s * dx, p[1] + s * dy)
-
-        prev = out[-1]
+        ex, ey = bx - ax, by - ay
+        tol = -1e-14 * size * math.hypot(ex, ey)
+        inside = [ex * (p[1] - ay) - ey * (p[0] - ax) >= tol for p in out]
         nxt = []
-        for cur in out:
-            if inside(cur):
-                if not inside(prev):
-                    nxt.append(intersection(prev, cur))
-                nxt.append(cur)
-            elif inside(prev):
-                nxt.append(intersection(prev, cur))
-            prev = cur
+        p, p_in = out[-1], inside[-1]
+        for q, q_in in zip(out, inside):
+            if q_in != p_in:
+                # p q crosses the edge line
+                dx, dy = q[0] - p[0], q[1] - p[1]
+                denom = ex * dy - ey * dx
+                if denom == 0.0:
+                    # p and q lie along the edge line and straddle the tolerance
+                    nxt.append(p)
+                else:
+                    s = (ex * (ay - p[1]) - ey * (ax - p[0])) / denom
+                    nxt.append((p[0] + s * dx, p[1] + s * dy))
+            if q_in:
+                nxt.append(q)
+            p, p_in = q, q_in
         out = nxt
     return np.array(out) if out else np.empty((0, 2))
 
 
 def intersection_area(P: ConvexPolygon, Q: ConvexPolygon) -> float:
-    V = clip_polygons(P, Q)
+    V = clip_polygons(P.vertices, Q.vertices)
     if len(V) < 3:
         return 0.0
     return abs(polygon_area(V))

@@ -242,6 +242,28 @@ def test_symmetric_difference_disjoint_squares():
     assert symmetric_difference_volume(A, B) == pytest.approx(8.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_clip_inside_test_scales_with_the_polygons(s):
+    # two unit squares overlapping in a quarter; an absolute tolerance on the
+    # inside test's cross product (units length^2) kept whole squares at
+    # small scales
+    A = ConvexPolygon(s * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    B = bodies.translate_polygon(A, [0.5 * s, 0.5 * s])
+    assert bodies.intersection_area(A, B) / s ** 2 == pytest.approx(0.25, rel=1e-12)
+    assert symmetric_difference_volume(A, B) / s ** 2 == pytest.approx(1.5, rel=1e-12)
+
+
+def test_clip_edge_along_a_clip_line_at_the_tolerance():
+    # the edge P0 -> P1 runs exactly along the clip edge (0,0) -> (3,1), 1e-14
+    # times the coordinate size outside it, and rounding puts its two ends on
+    # either side of the tolerance: the crossing has a zero denominator
+    P = ConvexPolygon(np.array([[0.9565469048856082, 0.3188489682951711],
+                                [2.456546904885608, 0.8188489682951712],
+                                [0.7565469048856082, 1.1188489682951712]]))
+    Q = ConvexPolygon(np.array([[0.0, 0.0], [3.0, 1.0], [-1.0, 3.0]]))
+    assert bodies.intersection_area(P, Q) == pytest.approx(volume(P), abs=1e-11)
+
+
 def test_nestedness():
     rng = np.random.default_rng(3)
     for _ in range(5):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from stabgeo import bodies
+from stabgeo import bodies, fmp
 from stabgeo.bodies import Ball, ConvexPolygon, revolution_cylinder, volume
-from stabgeo.errors import UnsupportedCombinationError
+from stabgeo.errors import ConvergenceError, UnsupportedCombinationError
 from stabgeo.fmp import fmp_bound_check, gamma_star, homothetic_distance, sigma_ratio
 
 # frozen by direct evaluation of ((2 - 2^((n-1)/n))^(3/2) / (122 n^7))^2,
@@ -92,6 +93,149 @@ def test_homothetic_translation_search_polygons():
     K = bodies.random_polygon(rng)
     C = bodies.translate_polygon(K, [0.7, -0.4])
     assert homothetic_distance(K, C) == pytest.approx(0.0, abs=1e-6)
+
+
+def _simplex_homothetic(K, C):
+    """The Nelder-Mead translation search the Newton iteration replaced
+    (oracle): one simplex seeded at the centroid difference of the
+    volume-normalized polygons."""
+    nK = bodies.scale(K, volume(K) ** -0.5)
+    nC = bodies.scale(C, volume(C) ** -0.5)
+    diam = max(np.ptp(nK.vertices), np.ptp(nC.vertices))
+
+    def neg_overlap(x):
+        return -bodies.intersection_area(nK, bodies.translate_polygon(nC, x))
+
+    x0 = bodies.polygon_centroid(nK.vertices) - bodies.polygon_centroid(nC.vertices)
+    res = minimize(neg_overlap, x0, method="Nelder-Mead",
+                   options=dict(xatol=1e-8 * diam, fatol=1e-12, maxiter=2000))
+    return 2.0 + 2.0 * float(res.fun)
+
+
+def test_homothetic_matches_simplex_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        K = bodies.random_polygon(rng)
+        C = bodies.random_polygon(rng)
+        A, A_oracle = homothetic_distance(K, C), _simplex_homothetic(K, C)
+        assert A <= A_oracle + 1e-12
+        assert abs(A - A_oracle) <= 1e-9
+
+
+_TRIANGLES = (np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 2.0]]),
+              np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 2.0]]))
+
+
+@pytest.mark.parametrize("T", _TRIANGLES)
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
+def test_homothetic_triangle_besicovitch(T, scale, offset):
+    # |T cap (x - T)| is at most 2/3 |T|, with equality when the centroids
+    # meet, so A(T, -T) = 2 - 4/3 = 2/3
+    diam = np.ptp(T)
+    V = scale * (T + offset * diam * np.array([0.6, 0.8]))
+    A = homothetic_distance(ConvexPolygon(V), ConvexPolygon(-V))
+    assert A == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shift", [[0.7, -0.4], [1e-9, 3e-10], [40.0, 25.0]])
+def test_homothetic_translated_copy_kinks_at_zero(shift):
+    # every edge pair is parallel, so the overlap has a kink at its maximum
+    rng = np.random.default_rng(1)
+    for points in (3, 5, 12):
+        K = bodies.random_polygon(rng, points=points)
+        assert homothetic_distance(K, bodies.translate_polygon(K, shift)) <= 1e-12
+
+
+def test_homothetic_crossed_rectangles_flat_maximum():
+    # the overlap is the 0.5 x 0.5 crossing for every x in a square of
+    # translations, so the maximum is flat and A = 2 - 2 * 0.25
+    R = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.5], [0.0, 0.5]])
+    K = ConvexPolygon(R + [3.0, 1.0])
+    C = ConvexPolygon(R[:, ::-1][::-1] - [1.0, 2.0])
+    assert homothetic_distance(K, C) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_homothetic_ridge_pairs_match_simplex_oracle():
+    # pairs with parallel, same-facing edges: the overlap's gradient jumps
+    # where such edges line up, and the maximum often sits on that ridge
+    tri = ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+    tri2 = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+    A, A_oracle = homothetic_distance(tri, tri2), _simplex_homothetic(tri, tri2)
+    assert abs(A - A_oracle) <= 1e-9 and A <= A_oracle + 1e-12
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        K = bodies.random_polygon(rng, points=8)
+        V = np.delete(K.vertices, int(rng.integers(len(K.vertices))), axis=0)
+        C = ConvexPolygon(V * rng.uniform(0.5, 2.0) + rng.normal(size=2))
+        assert homothetic_distance(K, C) <= _simplex_homothetic(K, C) + 1e-12
+
+
+@pytest.mark.parametrize("angle", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
+def test_homothetic_nearly_parallel_edges(angle):
+    # same-facing edges at a small angle: the overlap's curvature is about
+    # 1/angle in a thin band where they cross, which the search must cut
+    # into instead of creeping up to it
+    rng = np.random.default_rng(6)
+    c, s = math.cos(angle), math.sin(angle)
+    for _ in range(8):
+        K = bodies.random_polygon(rng, points=7)
+        V = np.delete(K.vertices, int(rng.integers(len(K.vertices))), axis=0)
+        C = ConvexPolygon(V * rng.uniform(0.6, 1.5) @ np.array([[c, s], [-s, c]])
+                          + rng.normal(size=2))
+        assert homothetic_distance(K, C) <= _simplex_homothetic(K, C) + 1e-12
+
+
+@pytest.mark.parametrize("aspect", [1e-3, 1e-5, 1e-7])
+def test_homothetic_slivers_match_simplex_oracle(aspect):
+    # a sliver's overlap is nearly flat along its long axis and falls to 0
+    # past its ends, where the slope of the overlap along a step is 0
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        K = bodies.random_polygon(rng)
+        pts = rng.normal(size=(8, 2)) * [1.0, aspect] @ np.array([[0.6, 0.8], [-0.8, 0.6]])
+        C = ConvexPolygon(pts[ConvexHull(pts).vertices])
+        assert homothetic_distance(K, C) <= _simplex_homothetic(K, C) + 1e-11
+
+
+def test_overlap_derivatives_match_central_differences():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        P = bodies.random_polygon(rng).vertices
+        Q = bodies.random_polygon(rng).vertices
+        x = rng.normal(size=2) * 0.3
+
+        def g(z):
+            return bodies.intersection_area(ConvexPolygon(P), ConvexPolygon(Q + z))
+
+        grad, hess = fmp._overlap_derivatives(P, Q)(x)
+        h, e = 1e-6, np.eye(2)
+        fd = [(g(x + h * e[i]) - g(x - h * e[i])) / (2.0 * h) for i in range(2)]
+        np.testing.assert_allclose(grad, fd, atol=1e-8)
+        # g is piecewise quadratic, so second differences are exact up to
+        # rounding inside a piece
+        h = 1e-4
+        fd2 = [[(g(x + h * (e[i] + e[j])) - g(x + h * (e[i] - e[j]))
+                 - g(x - h * (e[i] - e[j])) + g(x - h * (e[i] + e[j]))) / (4.0 * h * h)
+                for j in range(2)] for i in range(2)]
+        np.testing.assert_allclose(hess, fd2, atol=1e-6)
+
+
+def test_homothetic_step_budget_carries_best(monkeypatch):
+    rng = np.random.default_rng(3)
+    K, C = bodies.random_polygon(rng), bodies.random_polygon(rng)
+    monkeypatch.setattr(fmp, "_NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceError) as info:
+        homothetic_distance(K, C)
+    # best is a translation of the volume-normalized C that beats the start
+    nK = bodies.scale(K, volume(K) ** -0.5)
+    nC = bodies.scale(C, volume(C) ** -0.5)
+    x0 = bodies.polygon_centroid(nK.vertices) - bodies.polygon_centroid(nC.vertices)
+    best = info.value.best
+    assert bodies.intersection_area(nK, bodies.translate_polygon(nC, best)) > \
+        bodies.intersection_area(nK, bodies.translate_polygon(nC, x0))
 
 
 # ---------------------------------------------------------------------------
