@@ -14,8 +14,9 @@ For a body of revolution the hyperplane sections orthogonal to the axis are
 The meridian is itself a convex polygon, so coaxial Minkowski sums, polars
 and convex hulls are exact operations on its vertices: ``profile_sum``
 merges two profiles' edges by slope and ``upper_hull`` takes the least
-concave majorant of a point set.  Results are sampled back onto uniform
-grids.
+concave majorant of a point set.  ``sample_profile`` samples the results
+back onto uniform grids.  Polygon sums, profile sums and the 1-D concave
+max-plus share one merge, ``merge_indices``.
 All operations are pure functions of immutable inputs and are safe to share
 between concurrent tasks; Monte-Carlo estimation takes an explicit seed.
 """
@@ -299,10 +300,12 @@ def random_revolution_body(dim, rng, samples=DEFAULT_PROFILE_SAMPLES, amplitude=
     return RevolutionBody(dim, t, r)
 
 
-def random_o_symmetric_polygon(rng, max_half_vertices=8) -> ConvexPolygon:
+def random_o_symmetric_polygon(rng) -> ConvexPolygon:
+    """Hull of 3 to 8 random points in the upper half-plane and their
+    reflections through o."""
     from scipy.spatial import ConvexHull
 
-    m = int(rng.integers(3, max_half_vertices + 1))
+    m = int(rng.integers(3, 9))
     ang = np.sort(rng.uniform(0.02, math.pi - 0.02, size=m))
     rad = rng.uniform(0.5, 2.0, size=m)
     upper = rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
@@ -325,8 +328,13 @@ def random_polygon(rng, points=12) -> ConvexPolygon:
 
 
 def _next_vertices(V: np.ndarray) -> np.ndarray:
-    """V shifted by one place, np.roll(V, -1, axis=0) without its overhead."""
+    """V shifted one place back, so row k holds V[k + 1] (cyclically)."""
     return np.concatenate((V[1:], V[:1]))
+
+
+def _prev_vertices(V: np.ndarray) -> np.ndarray:
+    """V shifted one place on, so row k holds V[k - 1] (cyclically)."""
+    return np.concatenate((V[-1:], V[:-1]))
 
 
 def polygon_area(V: np.ndarray) -> float:
@@ -418,38 +426,42 @@ def dilate_axis(K: RevolutionBody, factor: float) -> RevolutionBody:
 # ---------------------------------------------------------------------------
 
 
-def _edge_sequence(V: np.ndarray):
-    """Vertices rolled to start at the lowest (then leftmost) vertex, with
-    edge vectors and their ccw-unwrapped angles."""
-    start = np.lexsort((V[:, 0], V[:, 1]))[0]
-    V = np.roll(V, -start, axis=0)
-    E = np.roll(V, -1, axis=0) - V
-    ang = np.arctan2(E[:, 1], E[:, 0])
-    # starting at the lowest vertex the first edge has angle in [0, pi);
-    # unwrap the rest into one increasing cycle
-    ang = np.where(ang < ang[0] - 1e-15, ang + 2.0 * math.pi, ang)
-    return V, E, ang
+def merge_indices(order, n_a):
+    """Vertex index pairs (i, j) of a merged edge chain.
+
+    ``order`` lists the edges of two chains in merged order, those of A
+    numbered 0 .. n_a - 1 and those of B from n_a on; vertex k of the merged
+    chain, after its first k edges, is vertex i[k] of A plus vertex j[k] of B.
+    """
+    i = np.concatenate(([0], np.cumsum(order < n_a)))
+    return i, np.arange(len(i)) - i
 
 
 def _polygon_minkowski_sum(P: ConvexPolygon, Q: ConvexPolygon) -> np.ndarray:
-    VP, EP, angP = _edge_sequence(P.vertices)
-    VQ, EQ, angQ = _edge_sequence(Q.vertices)
-    edges = []
-    i = j = 0
-    tie = 1e-12
-    while i < len(EP) or j < len(EQ):
-        if i < len(EP) and j < len(EQ) and abs(angP[i] - angQ[j]) <= tie:
-            edges.append(EP[i] + EQ[j])  # parallel edges merge into one
-            i += 1
-            j += 1
-        elif j >= len(EQ) or (i < len(EP) and angP[i] < angQ[j]):
-            edges.append(EP[i])
-            i += 1
-        else:
-            edges.append(EQ[j])
-            j += 1
-    verts = VP[0] + VQ[0] + np.vstack([[0.0, 0.0], np.cumsum(edges, axis=0)[:-1]])
-    return verts
+    """Vertices of P + Q, from the sum of the lowest (then leftmost)
+    vertices: the edges of both, each chain unwrapped into ccw angles from
+    its lowest vertex, merged by angle.  A P edge and a Q edge within 1e-12
+    rad of each other merge into one, so the vertex between them is
+    dropped."""
+    verts, angles = [], []
+    for V in (P.vertices, Q.vertices):
+        start = np.lexsort((V[:, 0], V[:, 1]))[0]
+        V = np.concatenate((V[start:], V[:start]))
+        verts.append(V)
+        E = _next_vertices(V) - V
+        ang = np.arctan2(E[:, 1], E[:, 0])
+        # from the lowest vertex the first edge has angle in [0, pi); unwrap
+        # the rest into one increasing cycle
+        angles.append(np.where(ang < ang[0] - 1e-15, ang + 2.0 * math.pi, ang))
+    VP, VQ = verts
+    ang = np.concatenate(angles)
+    order = np.argsort(ang, kind="stable")
+    i, j = merge_indices(order, len(VP))
+    from_p = order < len(VP)
+    parallel = (from_p[1:] != from_p[:-1]) & (np.diff(ang[order]) <= 1e-12)
+    keep = np.append(True, ~parallel)
+    # a chain whose edges are all used is back at its first vertex
+    return VP[i[:-1][keep] % len(VP)] + VQ[j[:-1][keep] % len(VQ)]
 
 
 def profile_sum(K: RevolutionBody, C: RevolutionBody):
@@ -463,10 +475,17 @@ def profile_sum(K: RevolutionBody, C: RevolutionBody):
     """
     slopes = np.concatenate([np.diff(K.radius) / np.diff(K.t),
                              np.diff(C.radius) / np.diff(C.t)])
-    from_k = np.argsort(-slopes, kind="stable") < len(K.t) - 1
-    i = np.concatenate([[0], np.cumsum(from_k)])
-    j = np.concatenate([[0], np.cumsum(~from_k)])
+    i, j = merge_indices(np.argsort(-slopes, kind="stable"), len(K.t) - 1)
     return K.t[i] + C.t[j], K.radius[i] + C.radius[j]
+
+
+def sample_profile(dim, t, r, alpha, samples) -> RevolutionBody:
+    """The body of revolution whose meridian has the upper vertices (t, r),
+    sampled on the uniform grid of ``samples`` points over [-alpha, alpha]
+    and made exactly even."""
+    grid = np.linspace(-alpha, alpha, samples)
+    phi = np.interp(grid, t, r)
+    return RevolutionBody(dim, grid, 0.5 * (phi + phi[::-1]))
 
 
 def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
@@ -491,10 +510,7 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
         Kr = as_revolution(K, m)
         Cr = as_revolution(C, m)
         ts, rs = profile_sum(Kr, Cr)
-        alpha = 0.5 * (Kr.alpha + Cr.alpha)
-        t = np.linspace(-alpha, alpha, m)
-        phi = np.interp(t, 0.5 * ts, 0.5 * rs)
-        return RevolutionBody(Kr.dim, t, 0.5 * (phi + phi[::-1]))
+        return sample_profile(Kr.dim, 0.5 * ts, 0.5 * rs, 0.5 * (Kr.alpha + Cr.alpha), m)
     raise UnsupportedCombinationError(
         f"midpoint of {type(K).__name__} and {type(C).__name__} is not supported"
     )
@@ -609,7 +625,7 @@ def contains_points(K: BodyRef, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts, axis=1) <= K.radius
     if isinstance(K, ConvexPolygon):
         V = K.vertices
-        E = np.roll(V, -1, axis=0) - V
+        E = _next_vertices(V) - V
         rel = pts[:, None, :] - V[None, :, :]
         cross = E[None, :, 0] * rel[:, :, 1] - E[None, :, 1] * rel[:, :, 0]
         return np.all(cross >= -1e-12, axis=1)
@@ -684,10 +700,11 @@ def polygon_hausdorff(P: ConvexPolygon, Q: ConvexPolygon) -> float:
     return max(d1, d2)
 
 
-def support_hausdorff(K: BodyRef, C: BodyRef, directions=4096) -> float:
-    """Hausdorff distance via max support gap on an angular grid (coaxial
-    revolution bodies and balls; sampled lower estimate of the sup).
-    Ball supports are analytic, so a Ball operand enters exactly."""
+def support_hausdorff(K: BodyRef, C: BodyRef) -> float:
+    """Hausdorff distance via max support gap on a grid of 4096 angles
+    (coaxial revolution bodies and balls; sampled lower estimate of the
+    sup).  Ball supports are analytic, so a Ball operand enters exactly."""
+    directions = 4096
     if isinstance(K, ConvexPolygon) or isinstance(C, ConvexPolygon):
         theta = 2.0 * math.pi * np.arange(directions) / directions
         W = np.column_stack([np.cos(theta), np.sin(theta)])

@@ -53,20 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--g", required=True, dest="g_path")
     s.add_argument("--m", dest="m_path")
 
-    for name in experiments.EXPERIMENTS:
+    # one option per config key the scan reads; the config parser converts
+    # the option text as it converts config values
+    for name, keys in experiments.SCAN_KEYS.items():
         s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config")
-        s.add_argument("--dim", type=int)
-        s.add_argument("--grid")
-        s.add_argument("--seed", type=int)
-        s.add_argument("--out", dest="output_path")
-        s.add_argument("--profile-samples", type=int, dest="profile_samples")
-        s.add_argument("--grid-samples", type=int, dest="grid_samples")
-        s.add_argument("--level-count", type=int, dest="level_count")
-        s.add_argument("--min-deficit", type=float, dest="min_deficit")
-        if name == "pl-scan":
-            s.add_argument("--family")
+        for key in keys:
+            s.add_argument(scan_option(key), dest=key)
     return p
+
+
+def scan_option(key: str) -> str:
+    """The command-line option that sets a scan config key."""
+    return "--out" if key == "output_path" else "--" + key.replace("_", "-")
 
 
 def _load_cli_body(args):
@@ -128,18 +127,8 @@ def _cmd_pln(args) -> int:
 
 
 def _cmd_scan(args, experiment: str) -> int:
-    overrides = dict(
-        experiment=experiment,
-        dim=args.dim,
-        grid=args.grid,
-        seed=args.seed,
-        output_path=args.output_path,
-        profile_samples=args.profile_samples,
-        grid_samples=args.grid_samples,
-        level_count=args.level_count,
-        family=getattr(args, "family", None),
-        min_deficit=args.min_deficit,
-    )
+    overrides = {key: getattr(args, key) for key in experiments.SCAN_KEYS[experiment]}
+    overrides["experiment"] = experiment
     if args.config:
         cfg = experiments.load_config(args.config, **overrides)
     else:

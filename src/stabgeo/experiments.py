@@ -8,8 +8,8 @@ Grid points use derived seeds (seed + index), making reruns byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,15 @@ from . import pln as _pln
 from . import polarity as _polarity
 from .errors import ConfigError, InvalidDataError
 
-EXPERIMENTS = ("cap-scan", "bs-scan", "pl-scan", "pln-scan")
+# the config keys each scan reads, in command-line order; a config or an
+# option naming any other key is a configuration error
+SCAN_KEYS = {
+    "cap-scan": ("dim", "grid", "output_path", "profile_samples", "min_deficit"),
+    "bs-scan": ("dim", "grid", "seed", "output_path", "profile_samples", "min_deficit"),
+    "pl-scan": ("grid", "family", "output_path", "grid_samples", "min_deficit"),
+    "pln-scan": ("dim", "grid", "output_path", "level_count", "min_deficit"),
+}
+EXPERIMENTS = tuple(SCAN_KEYS)
 PL_FAMILIES = ("asymmetric", "shift")
 
 CSV_HEADERS = {
@@ -91,8 +99,14 @@ class ExperimentConfig:
     min_deficit: float = 1e-12
 
     def validate(self) -> None:
+        """Raise ConfigError for an unknown experiment, a bad value, or a key
+        the experiment does not read set to anything but its default."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
+        reads = SCAN_KEYS[self.experiment]
+        for f in dataclasses.fields(self):
+            if f.name not in reads and f.name in _CONVERT and getattr(self, f.name) != f.default:
+                _check_reads(self.experiment, f.name)
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if len(self.grid) == 0:
@@ -110,11 +124,8 @@ class ExperimentConfig:
         else:
             if np.any(g <= 0):
                 raise ConfigError("perturbation grid values must be positive")
-        if self.family is not None:
-            if self.experiment != "pl-scan":
-                raise ConfigError(f"family applies to pl-scan only, not {self.experiment}")
-            if self.family not in PL_FAMILIES:
-                raise ConfigError(f"unknown pl-scan family {self.family!r}")
+        if self.family is not None and self.family not in PL_FAMILIES:
+            raise ConfigError(f"unknown pl-scan family {self.family!r}")
         for name in ("profile_samples", "grid_samples", "level_count"):
             v = getattr(self, name)
             if v is not None and v < 8:
@@ -123,8 +134,23 @@ class ExperimentConfig:
             raise ConfigError("min_deficit must be nonnegative")
 
 
-_CONFIG_INTS = {"dim", "seed", "profile_samples", "grid_samples", "level_count"}
-_CONFIG_FLOATS = {"min_deficit"}
+def _grid(g) -> tuple:
+    if isinstance(g, str):
+        return tuple(float(s) for s in g.split(",") if s.strip())
+    return tuple(g)
+
+
+# the conversion of each config key's text
+_CONVERT = dict(dim=int, grid=_grid, seed=int, output_path=str, profile_samples=int,
+                grid_samples=int, level_count=int, family=str, min_deficit=float)
+
+
+def _check_reads(experiment: str, key: str) -> None:
+    if key not in _CONVERT:
+        raise ConfigError(f"unknown config key {key!r}")
+    if key not in SCAN_KEYS[experiment]:
+        readers = ", ".join(e for e, keys in SCAN_KEYS.items() if key in keys)
+        raise ConfigError(f"{key} applies to {readers} only, not {experiment}")
 
 
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
@@ -146,28 +172,14 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         kv[key] = val
     if "experiment" not in kv:
         raise ConfigError("config is missing the experiment key")
-    args = {"experiment": str(kv.pop("experiment"))}
-    if "grid" in kv:
-        g = kv.pop("grid")
-        if isinstance(g, str):
-            try:
-                g = tuple(float(s) for s in g.split(",") if s.strip())
-            except ValueError as e:
-                raise ConfigError(f"bad grid value: {e}") from None
-        args["grid"] = tuple(g)
-    if "output_path" in kv:
-        args["output_path"] = str(kv.pop("output_path"))
-    if "family" in kv:
-        args["family"] = str(kv.pop("family"))
+    experiment = str(kv.pop("experiment"))
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    args = {"experiment": experiment}
     for key, val in kv.items():
-        if key in _CONFIG_INTS:
-            convert = int
-        elif key in _CONFIG_FLOATS:
-            convert = float
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        _check_reads(experiment, key)
         try:
-            args[key] = convert(val)
+            args[key] = _CONVERT[key](val)
         except ValueError:
             raise ConfigError(f"bad {key} value {val!r}") from None
     cfg = ExperimentConfig(**args)
@@ -181,21 +193,10 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 
 def _write_csv(path: str, header: str, rows) -> None:
-    """Write rows to a sibling temporary file and rename it over ``path``, so
-    an interrupted write leaves any previous file untouched."""
-    if not path:
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(csv_row(*row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write the header and rows to ``path`` (nothing when it is empty)."""
+    from .fileio import write_lines  # here, so importing stabgeo leaves fileio unloaded
+    if path:
+        write_lines(path, [header] + [csv_row(*row) for row in rows])
 
 
 def csv_row(*values) -> str:

@@ -10,6 +10,8 @@ file).
 Content that does not parse, or that the loaded object's constructor
 rejects (a NaN radius, heights out of order, bodies not nested, ...), is a
 configuration error: the loaders raise ``ConfigError`` naming the file.
+Every file is written through ``write_lines``, so a failed write never
+leaves a half-written file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,25 @@ def _build(path: str, kind, *args, **kwargs):
         return kind(*args, **kwargs)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
+
+
+def write_lines(path: str, lines) -> None:
+    """Write the text lines to a sibling temporary file and rename it over
+    ``path``, so an interrupted write leaves any previous file untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_columns(path: str, header: str, a, b) -> None:
+    write_lines(path, [header] + [f"{x:.17g},{y:.17g}" for x, y in zip(a, b)])
 
 
 def _read_two_columns(path: str, expected_header: str) -> np.ndarray:
@@ -63,10 +84,7 @@ def load_profile(path: str, dim: int) -> RevolutionBody:
 
 
 def save_profile(path: str, body: RevolutionBody) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,phi\n")
-        for t, r in zip(body.t, body.radius):
-            fh.write(f"{t:.17g},{r:.17g}\n")
+    _write_columns(path, "t,phi", body.t, body.radius)
 
 
 def load_polygon(path: str, o_symmetric: bool = False) -> ConvexPolygon:
@@ -75,10 +93,7 @@ def load_polygon(path: str, o_symmetric: bool = False) -> ConvexPolygon:
 
 
 def save_polygon(path: str, poly: ConvexPolygon) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y\n")
-        for x, y in poly.vertices:
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    _write_columns(path, "x,y", poly.vertices[:, 0], poly.vertices[:, 1])
 
 
 def load_body(path: str, dim: int = 3, o_symmetric: bool = False):
@@ -94,10 +109,7 @@ def load_gridfn(path: str, domain: str = WHOLE_LINE) -> GridFn1D:
 
 
 def save_gridfn(path: str, f: GridFn1D) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,value\n")
-        for x, v in zip(f.grid, f.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+    _write_columns(path, "x,value", f.grid, f.values)
 
 
 def _stack_fields(path: str, line: str, form: str, **types) -> dict:
@@ -133,12 +145,14 @@ def load_stack(path: str) -> LevelStack:
     return _build(path, LevelStack, dim, np.asarray(heights), tuple(bodies))
 
 
-def save_stack(path: str, stack: LevelStack, profile_prefix: str | None = None) -> None:
+def save_stack(path: str, stack: LevelStack) -> None:
+    """Write the stack file and, next to it, one profile CSV per level named
+    ``<stack file stem>_levelKKK.csv``; the stack file is written last."""
     base = os.path.dirname(os.path.abspath(path))
-    prefix = profile_prefix or os.path.splitext(os.path.basename(path))[0]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"dim={stack.dim} levels={len(stack.levels)}\n")
-        for k, (t, body) in enumerate(zip(stack.levels, stack.bodies)):
-            rel = f"{prefix}_level{k:03d}.csv"
-            save_profile(os.path.join(base, rel), body)
-            fh.write(f"t={t:.17g} profile={rel}\n")
+    prefix = os.path.splitext(os.path.basename(path))[0]
+    lines = [f"dim={stack.dim} levels={len(stack.levels)}"]
+    for k, (t, body) in enumerate(zip(stack.levels, stack.bodies)):
+        rel = f"{prefix}_level{k:03d}.csv"
+        save_profile(os.path.join(base, rel), body)
+        lines.append(f"t={t:.17g} profile={rel}")
+    write_lines(path, lines)

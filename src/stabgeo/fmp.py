@@ -40,10 +40,6 @@ def sigma_ratio(K: BodyRef, C: BodyRef) -> float:
     return max(vc / vk, vk / vc)
 
 
-def _normalize_volume(K: BodyRef) -> BodyRef:
-    return bodies.scale(K, volume(K) ** (-1.0 / K.dim))
-
-
 # Newton steps allowed; from the centroid difference, random pairs and pairs
 # with parallel or nearly parallel edges take at most 8
 _NEWTON_CAP = 50
@@ -75,7 +71,7 @@ def _overlap_area(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def _outward_normals(V: np.ndarray) -> np.ndarray:
-    E = np.roll(V, -1, axis=0) - V
+    E = bodies._next_vertices(V) - V
     return np.column_stack([E[:, 1], -E[:, 0]])
 
 
@@ -278,7 +274,13 @@ def homothetic_distance(K: BodyRef, C: BodyRef) -> float:
     if K.dim != C.dim:
         raise UnsupportedCombinationError("homothetic distance across dimensions")
     if bodies.is_o_symmetric(K) and bodies.is_o_symmetric(C):
-        return bodies.symmetric_difference_volume(_normalize_volume(K), _normalize_volume(C))
+        a, b = (volume(B) ** (-1.0 / B.dim) for B in (K, C))
+        if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
+            # scaling keeps a polygon valid, so the scaled vertex arrays are
+            # compared without building polygons
+            P, Q = K.vertices * a, C.vertices * b
+            return bodies.polygon_area(P) + bodies.polygon_area(Q) - 2.0 * _overlap_area(P, Q)
+        return bodies.symmetric_difference_volume(bodies.scale(K, a), bodies.scale(C, b))
     if not (isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon)):
         raise UnsupportedCombinationError(
             "general-position homothetic distance is only supported for polygons"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .bodies import _trapezoid
+from .bodies import _trapezoid, merge_indices
 from .errors import ConvergenceError, EmptyFunctionError, InvalidDataError
 
 DEFAULT_GRID_SAMPLES = 4097
@@ -188,8 +188,7 @@ def _slope_merge(ca, cb):
     v = np.empty_like(order)
     v[order] = -np.arange(len(order))  # larger difference, larger v
     va, vb = v[:na - 1], v[na - 1:]
-    i = np.concatenate(([0], np.cumsum(order < na - 1)))
-    j = np.arange(len(i)) - i
+    i, j = merge_indices(order, na - 1)
     big = np.iinfo(np.intp).max
     left_a = np.append(np.maximum.accumulate(va[::-1])[::-1], -big)
     taken_a = np.concatenate(([big], np.minimum.accumulate(va)))
@@ -338,11 +337,15 @@ def _scale_l1(f: GridFn1D, m: GridFn1D, a: float, b: float) -> float:
     return _l1_between(f.grid, f.values, m.grid / b, a * m.values)
 
 
-def _multistart_minimize(objective, x0, spreads, tiebreak_origin):
-    starts = [np.asarray(x0, float)]
+def _multistart_minimize(objective, x0, spreads):
+    """Nelder-Mead from x0 and from x0 moved by +-spreads[k] along each axis.
+    Of the minima within rounding of the best, the one closest to x0 wins,
+    so flat valleys give a deterministic answer."""
+    x0 = np.asarray(x0, float)
+    starts = [x0]
     for k in range(len(x0)):
         for sgn in (+1.0, -1.0):
-            s = np.asarray(x0, float).copy()
+            s = x0.copy()
             s[k] += sgn * spreads[k]
             starts.append(s)
     results = []
@@ -352,13 +355,50 @@ def _multistart_minimize(objective, x0, spreads, tiebreak_origin):
         if np.all(np.isfinite(res.x)) and np.isfinite(res.fun):
             results.append(res)
     if not results:
-        raise ConvergenceError("all descent starts diverged", best=np.asarray(x0, float))
+        raise ConvergenceError("all descent starts diverged", best=x0)
     best_val = min(r.fun for r in results)
     eligible = [r for r in results if r.fun <= best_val + 1e-12 * (1.0 + abs(best_val))]
-    # flat valleys: return the minimizer closest to the moment-matched start
-    origin = np.asarray(tiebreak_origin, float)
-    eligible.sort(key=lambda r: float(np.linalg.norm(r.x - origin)))
+    eligible.sort(key=lambda r: float(np.linalg.norm(r.x - x0)))
     return eligible[0]
+
+
+def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
+    """((a, b, 1/a, -b or 1/b), L1) minimizing int |f(t) - a m(t + b)| dt in
+    shift form, or int |f(t) - a m(b t)| dt in scale form; with g, the
+    distance of g from (1/a) m(t - b), or (1/a) m(t / b), is added.  The L1
+    is not normalized.
+
+    The search runs over (ln a, b), or (ln a, ln b), from the moment-matched
+    start: a m carries the mass of f and its mean is moved onto f's.
+    """
+    int_m = integral(m)
+    if shift:
+        a0 = integral(f) / int_m
+        x0 = [math.log(max(a0, 1e-12)), mean_abscissa(m) - mean_abscissa(f)]
+        spreads = [0.5, 0.25 * (f.grid[-1] - f.grid[0])]
+        l1 = _shift_l1
+
+        def params(p):
+            a = math.exp(p[0])
+            return a, float(p[1]), 1.0 / a, -float(p[1])
+    else:
+        b0 = mean_abscissa(m) / mean_abscissa(f)
+        a0 = b0 * integral(f) / int_m
+        x0 = [math.log(max(a0, 1e-12)), math.log(max(b0, 1e-12))]
+        spreads = [0.5, 0.5]
+        l1 = _scale_l1
+
+        def params(p):
+            a, b = math.exp(p[0]), math.exp(p[1])
+            return a, b, 1.0 / a, 1.0 / b
+
+    def objective(p):
+        a, b, a_g, b_g = params(p)
+        dist = l1(f, m, a, b)
+        return dist if g is None else dist + l1(g, m, a_g, b_g)
+
+    res = _multistart_minimize(objective, x0, spreads)
+    return params(res.x), res.fun
 
 
 def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=False):
@@ -373,24 +413,13 @@ def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=F
     if int_f <= 0 or int_m <= 0:
         raise EmptyFunctionError("stability distance needs positive integrals")
     if mode == "shift":
-        a0 = int_f / int_m
-        b0 = mean_abscissa(m) - mean_abscissa(f)
-
-        def obj(p):
-            return _shift_l1(f, m, math.exp(p[0]), p[1])
-
-        span_b = 0.25 * (f.grid[-1] - f.grid[0])
-        res = _multistart_minimize(obj, [math.log(a0), b0], [0.5, span_b],
-                                   [math.log(a0), b0])
-        a, b = math.exp(res.x[0]), float(res.x[1])
-        return a, b, res.fun / int_m
+        (a, b, _, _), l1 = _fit(f, m, shift=True)
+        return a, b, l1 / int_m
     if mode == "scale":
         if f.domain != HALF_LINE or m.domain != HALF_LINE:
             raise ValueError("scale mode needs half-line functions")
-        b0 = mean_abscissa(m) / mean_abscissa(f)
-        a0 = b0 * int_f / int_m
         if constrain_equal:
-            c0 = math.log(max(b0, 1e-12))
+            c0 = math.log(max(mean_abscissa(m) / mean_abscissa(f), 1e-12))
 
             def obj1(q):
                 c = math.exp(q)
@@ -403,14 +432,8 @@ def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=F
                                   method="bounded", options=dict(xatol=1e-12))
             c = math.exp(res.x)
             return c, c, float(res.fun) / int_m
-
-        def obj(p):
-            return _scale_l1(f, m, math.exp(p[0]), math.exp(p[1]))
-
-        x0 = [math.log(max(a0, 1e-12)), math.log(max(b0, 1e-12))]
-        res = _multistart_minimize(obj, x0, [0.5, 0.5], x0)
-        a, b = math.exp(res.x[0]), math.exp(res.x[1])
-        return a, b, res.fun / int_m
+        (a, b, _, _), l1 = _fit(f, m, shift=False)
+        return a, b, l1 / int_m
     raise ValueError(f"unknown stability mode {mode!r}")
 
 
@@ -450,35 +473,13 @@ def pl_report(f: GridFn1D, g: GridFn1D, mean="arithmetic", m: GridFn1D | None = 
         m = sup_convolution_midpoint(f, g, mean)
     eps = pl_deficit(f, g, m)
     int_m = integral(m)
-    if mean in ("arithmetic", "arith"):
-        a0 = integral(f) / int_m
-        b0 = mean_abscissa(m) - mean_abscissa(f)
-
-        def obj(p):
-            a = math.exp(p[0])
-            return (_shift_l1(f, m, a, p[1]) + _shift_l1(g, m, 1.0 / a, -p[1]))
-
-        span_b = 0.25 * (f.grid[-1] - f.grid[0])
-        res = _multistart_minimize(obj, [math.log(max(a0, 1e-12)), b0], [0.5, span_b],
-                                   [math.log(max(a0, 1e-12)), b0])
-        a, b = math.exp(res.x[0]), float(res.x[1])
-        l1f = _shift_l1(f, m, a, b) / int_m
-        l1g = _shift_l1(g, m, 1.0 / a, -b) / int_m
-    elif mean in ("geometric", "geom"):
-        b0 = mean_abscissa(m) / mean_abscissa(f)
-        a0 = b0 * integral(f) / int_m
-
-        def obj(p):
-            a, b = math.exp(p[0]), math.exp(p[1])
-            return (_scale_l1(f, m, a, b) + _scale_l1(g, m, 1.0 / a, 1.0 / b))
-
-        x0 = [math.log(max(a0, 1e-12)), math.log(max(b0, 1e-12))]
-        res = _multistart_minimize(obj, x0, [0.5, 0.5], x0)
-        a, b = math.exp(res.x[0]), math.exp(res.x[1])
-        l1f = _scale_l1(f, m, a, b) / int_m
-        l1g = _scale_l1(g, m, 1.0 / a, 1.0 / b) / int_m
-    else:
+    if mean not in ("arithmetic", "arith", "geometric", "geom"):
         raise ValueError(f"unknown mean {mean!r}")
+    shift = mean in ("arithmetic", "arith")
+    (a, b, a_g, b_g), _ = _fit(f, m, shift, g)
+    l1 = _shift_l1 if shift else _scale_l1
+    l1f = l1(f, m, a, b) / int_m
+    l1g = l1(g, m, a_g, b_g) / int_m
     om = omega(eps) if eps > 0 else 0.0
     return PLReport(
         integral_m=int_m,

@@ -30,6 +30,9 @@ from .pl1d import GridFn1D, HALF_LINE
 DEFAULT_LEVEL_COUNT = 64
 DEFAULT_LEVEL_FLOOR = 1e-6
 _LOOKUP_RTOL = 1e-9
+_THETA = (np.arange(64) + 0.5) * math.pi / 64  # meridian support directions
+_R_PROBES = 9  # probe values of r per output level in containment_margin
+_NORMALIZATION_TOL = 1e-6  # |int f - 1| allowed for a probability stack
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,11 @@ class LevelStack:
                 raise UnsupportedCombinationError(
                     "stack bodies must be coaxial revolution bodies of the stack dimension"
                 )
-        theta = (np.arange(64) + 0.5) * math.pi / 64
-        prev = None
-        for b in bd:
-            cur = _bodies.meridian_support(b, theta)
-            if prev is not None:
-                scale = max(float(np.max(cur)), 1.0)
-                if np.max(prev - cur) > 1e-7 * scale:
-                    raise ValueError("stack bodies are not nested")
-            prev = cur
+        # meridian supports on 64 directions, one row per level body
+        S = np.vstack([_bodies.meridian_support(b, _THETA) for b in bd])
+        for prev, cur in zip(S[:-1], S[1:]):
+            if np.max(prev - cur) > 1e-7 * max(float(np.max(cur)), 1.0):
+                raise ValueError("stack bodies are not nested")
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "bodies", bd)
@@ -72,7 +71,6 @@ class LevelStack:
             # (midpoint bodies contain the Minkowski midpoints of their
             # neighbours).  Note the level-volume profile itself need not be
             # log-concave in t, so it cannot serve as the certificate.
-            S = np.vstack([_bodies.meridian_support(b, theta) for b in bd])
             gap = 0.5 * (S[:-2] + S[2:]) - S[1:-1]
             if float(np.max(gap)) > 1e-6 * float(np.max(S)):
                 raise ValueError("stack flagged log-concave fails the support check")
@@ -157,35 +155,32 @@ def stack_from_level_sets(dim, body_fn, levels, sampling="midpoint",
     return LevelStack(dim, levels, bodies_, log_concave=log_concave)
 
 
-def gaussian_stack(dim, level_count=DEFAULT_LEVEL_COUNT, floor=DEFAULT_LEVEL_FLOOR,
-                   axis_scale=1.0, samples=257, sampling="midpoint",
-                   normalized=True) -> LevelStack:
-    """Stack sampled from the Gaussian shape exp(-((x_axis/a)^2 + |x_perp|^2)/2)."""
-    a = float(axis_scale)
+def _quadratic_stack(dim, body_at, level_count, floor) -> LevelStack:
+    """Probability stack of exp(-q(x)/2), where ``body_at(L)`` is the level
+    set {q <= L^2}: ``level_count`` geometric heights spanning the factor
+    ``floor``, each level body taken at the geometric midpoint of its cell."""
     top = float(floor) ** (1.0 / (2.0 * level_count))
     levels = np.geomspace(top, top * floor, level_count)
-
-    def body_fn(s):
-        R = math.sqrt(2.0 * math.log(1.0 / s))
-        return _bodies.revolution_ellipsoid(dim, a * R, R, samples)
-
-    st = stack_from_level_sets(dim, body_fn, levels, sampling, log_concave=True)
-    return normalize_probability(st) if normalized else st
+    st = stack_from_level_sets(dim, lambda s: body_at(math.sqrt(2.0 * math.log(1.0 / s))),
+                               levels, log_concave=True)
+    return normalize_probability(st)
 
 
-def random_log_concave_stack(dim, rng, level_count=40, floor=1e-5, samples=257,
-                             normalized=True) -> LevelStack:
-    """Random even log-concave stack: exp(-max of random coaxial quadratics),
-    whose level sets are intersections of coaxial ellipsoids."""
+def gaussian_stack(dim, level_count=DEFAULT_LEVEL_COUNT, floor=DEFAULT_LEVEL_FLOOR,
+                   samples=257) -> LevelStack:
+    """Probability stack sampled from the Gaussian shape exp(-|x|^2 / 2)."""
+    return _quadratic_stack(dim, lambda R: _bodies.revolution_ellipsoid(dim, R, R, samples),
+                            level_count, floor)
+
+
+def random_log_concave_stack(dim, rng, level_count=40, floor=1e-5, samples=257) -> LevelStack:
+    """Random even log-concave probability stack: exp(-max of random coaxial
+    quadratics), whose level sets are intersections of coaxial ellipsoids."""
     k = int(rng.integers(1, 4))
     ax = rng.uniform(0.5, 2.0, size=k)
     cr = rng.uniform(0.5, 2.0, size=k)
-    top = float(floor) ** (1.0 / (2.0 * level_count))
-    levels = np.geomspace(top, top * floor, level_count)
 
-    def body_fn(s):
-        L = math.sqrt(2.0 * math.log(1.0 / s))
-
+    def body_at(L):
         def profile(t):
             r = np.full_like(t, np.inf)
             for a, c in zip(ax, cr):
@@ -194,8 +189,7 @@ def random_log_concave_stack(dim, rng, level_count=40, floor=1e-5, samples=257,
 
         return _bodies.revolution_from_function(dim, profile, ax.max() * L, samples)
 
-    st = stack_from_level_sets(dim, body_fn, levels, "midpoint", log_concave=True)
-    return normalize_probability(st) if normalized else st
+    return _quadratic_stack(dim, body_at, level_count, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +248,29 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
             np.concatenate([0.5 * ts for ts, _ in sums] + [hull[0]]),
             np.concatenate([0.5 * rs for _, rs in sums] + [hull[1]]),
         )
-        t = np.linspace(-hull[0][-1], hull[0][-1], m)
-        phi = np.interp(t, *hull)
-        out_bodies.append(RevolutionBody(dim, t, 0.5 * (phi + phi[::-1])))
+        out_bodies.append(_bodies.sample_profile(dim, *hull, hull[0][-1], m))
     return LevelStack(dim, u, tuple(out_bodies))
 
 
-def containment_margin(f: LevelStack, g: LevelStack, m: LevelStack,
-                       directions=64, r_probe=9) -> float:
+def containment_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
     """Worst support excess of ((f-body at r) + (g-body at u^2/r))/2 over the
-    m-body at u, across output levels u and probe values of r.  Zero (up to
-    float noise) means m is a valid midpoint majorant at the probed pairs."""
-    theta = (np.arange(directions) + 0.5) * math.pi / directions
+    m-body at u, across output levels u and 9 log-spaced probe values of r,
+    on 64 meridian directions.  Zero (up to float noise) means m is a valid
+    midpoint majorant at the probed pairs."""
     worst = 0.0
     for u, body in zip(m.levels, m.bodies):
-        hm = _bodies.meridian_support(body, theta)
+        hm = _bodies.meridian_support(body, _THETA)
         r_lo = u * u / g.levels[0]
         r_hi = f.levels[0]
         if r_lo > r_hi:
             continue
-        for r in np.geomspace(r_lo, r_hi, r_probe):
+        for r in np.geomspace(r_lo, r_hi, _R_PROBES):
             bf = f.body_at(r)
             bg = g.body_at(u * u / r)
             if bf is None or bg is None:
                 continue
-            hmid = 0.5 * (_bodies.meridian_support(bf, theta)
-                          + _bodies.meridian_support(bg, theta))
+            hmid = 0.5 * (_bodies.meridian_support(bf, _THETA)
+                          + _bodies.meridian_support(bg, _THETA))
             worst = max(worst, float(np.max(hmid - hm)))
     return worst
 
@@ -367,8 +358,7 @@ def _sectioncap_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
     return worst
 
 
-def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack,
-             normalization_tol=1e-6) -> TraceReport:
+def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
     """Trace the stability argument on probability stacks f, g and a valid
     midpoint stack m.
 
@@ -379,7 +369,7 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack,
     """
     for name, st in (("f", f), ("g", g)):
         total = stack_integral(st)
-        if abs(total - 1.0) > normalization_tol:
+        if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise NormalizationError(f"stack {name} integrates to {total!r}, expected 1")
     if not (f.dim == g.dim == m.dim):
         raise UnsupportedCombinationError("trace needs stacks of equal dimension")

@@ -61,20 +61,6 @@ class SantaloResult:
 # ---------------------------------------------------------------------------
 
 
-def _polar_profile_bruteforce(t, r, s_grid):
-    """Chunked exhaustive version of the polar-profile minimum (oracle)."""
-    pos = r > 0
-    tp = t[pos]
-    rp = r[pos]
-    out = np.full(len(s_grid), np.inf)
-    chunk = max(1, int(2 ** 22 // max(len(tp), 1)))
-    for j0 in range(0, len(s_grid), chunk):
-        j1 = min(len(s_grid), j0 + chunk)
-        vals = (1.0 - np.outer(s_grid[j0:j1], tp)) / rp[None, :]
-        out[j0:j1] = vals.min(axis=1)
-    return np.maximum(out, 0.0)
-
-
 def _polar_vertices(V: np.ndarray, z) -> np.ndarray:
     """Vertices of K^z - z for the polygon with ccw vertex cycle V.  Edge i,
     V_i -> V_{i+1}, lies on the line <n_i, x - z> = s_i with
@@ -83,7 +69,7 @@ def _polar_vertices(V: np.ndarray, z) -> np.ndarray:
     Everything is computed from V - z, so it does not depend on where the
     polygon sits."""
     a = V - z
-    b = np.roll(a, -1, axis=0)
+    b = bodies._next_vertices(a)
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     scale = float(np.max(np.abs(a))) or 1.0
     if np.any(det <= 1e-12 * scale * scale):
@@ -114,9 +100,7 @@ def polar(K: BodyRef, z=None) -> BodyRef:
             s_v, psi_v = np.append(1.0 / t[0], s_v), np.append(0.0, psi_v)
         if r[-1] > 0:
             s_v, psi_v = np.append(s_v, 1.0 / t[-1]), np.append(psi_v, 0.0)
-        s = np.linspace(-1.0 / K.alpha, 1.0 / K.alpha, len(K.t))
-        psi = np.interp(s, s_v, psi_v)
-        return RevolutionBody(K.dim, s, 0.5 * (psi + psi[::-1]))
+        return bodies.sample_profile(K.dim, s_v, psi_v, 1.0 / K.alpha, len(K.t))
     if isinstance(K, ConvexPolygon):
         z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
         W = _polar_vertices(K.vertices, z) + z
@@ -194,26 +178,26 @@ def santalo_point(K: BodyRef, certificate_tol=1e-6) -> SantaloResult:
     diam = _polygon_diameter(K)
     c0 = V[0] + bodies.polygon_centroid(V - V[0])
     P = (V - c0) / diam
-    Q = np.roll(P, -1, axis=0)
+    Q = bodies._next_vertices(P)
     n = np.column_stack([Q[:, 1] - P[:, 1], P[:, 0] - Q[:, 0]])
-    n_next = np.roll(n, -1, axis=0)
+    n_next = bodies._next_vertices(n)
     c = P[:, 0] * Q[:, 1] - Q[:, 0] * P[:, 1]
     a = n[:, 0] * n_next[:, 1] - n[:, 1] * n_next[:, 0]
-    a_prev = np.roll(a, 1)
+    a_prev = bodies._prev_vertices(a)
 
     def weights(z):
         s = c - n @ z
         return 1.0 / s if np.all(s > 0.0) else None
 
     def area(w):
-        return 0.5 * float(np.sum(a * w * np.roll(w, -1)))
+        return 0.5 * float(np.sum(a * w * bodies._next_vertices(w)))
 
     z = np.zeros(2)
     w = weights(z)
     f = area(w)
     for _ in range(_NEWTON_CAP):
-        w_next = np.roll(w, -1)
-        q = 0.5 * w * w * (a * w_next + a_prev * np.roll(w, 1))
+        w_next = bodies._next_vertices(w)
+        q = 0.5 * w * w * (a * w_next + a_prev * bodies._prev_vertices(w))
         grad = q @ n
         cross = (n.T * (0.5 * a * (w * w_next) ** 2)) @ n_next
         hess = (n.T * (2.0 * w * q)) @ n + cross + cross.T

@@ -1,4 +1,4 @@
-"""Shared random families for the property sweeps.
+"""Shared random families for the property sweeps, and a full-disk fixture.
 
 The 1-D pair generator enforces a minimum shape separation between the two
 functions: the deficit of a pair vanishes exactly when one function is a
@@ -7,8 +7,9 @@ deficit below the discretization floor of the midpoint construction.
 """
 
 import numpy as np
+import pytest
 
-from stabgeo import pl1d
+from stabgeo import fileio, pl1d
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -75,3 +76,27 @@ def probability_gridfn(grid, values, log_concave=False):
     total = float(_trapz(values, grid))
     return pl1d.GridFn1D(grid, values / total, log_concave=log_concave,
                          probability=True)
+
+
+class _DiskFull:
+    """A text file whose writes stop halfway with ENOSPC."""
+
+    def __init__(self, *args, **kwargs):
+        self._fh = open(*args, **kwargs)
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture()
+def disk_full(monkeypatch):
+    """Make every file the package writes fail halfway, as on a full disk."""
+    monkeypatch.setattr(fileio, "open", _DiskFull, raising=False)

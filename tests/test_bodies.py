@@ -191,6 +191,68 @@ def test_profile_sum_matches_polygon_edge_merge():
         assert np.max(np.abs(np.interp(ts, top[:, 0], top[:, 1]) - rs)) <= 1e-12 * scale
 
 
+def _edge_merge_loop(P, Q):
+    """The edge-by-edge merge loop for P + Q (oracle): vertices from the sum
+    of the lowest (then leftmost) vertices as a running sum of edges, with a
+    P edge and a Q edge within 1e-12 rad merged into one."""
+    def edge_sequence(V):
+        V = np.roll(V, -np.lexsort((V[:, 0], V[:, 1]))[0], axis=0)
+        E = np.roll(V, -1, axis=0) - V
+        ang = np.arctan2(E[:, 1], E[:, 0])
+        return V, E, np.where(ang < ang[0] - 1e-15, ang + 2.0 * math.pi, ang)
+
+    VP, EP, angP = edge_sequence(P.vertices)
+    VQ, EQ, angQ = edge_sequence(Q.vertices)
+    edges = []
+    i = j = 0
+    while i < len(EP) or j < len(EQ):
+        if i < len(EP) and j < len(EQ) and abs(angP[i] - angQ[j]) <= 1e-12:
+            edges.append(EP[i] + EQ[j])
+            i += 1
+            j += 1
+        elif j >= len(EQ) or (i < len(EP) and angP[i] < angQ[j]):
+            edges.append(EP[i])
+            i += 1
+        else:
+            edges.append(EQ[j])
+            j += 1
+    return VP[0] + VQ[0] + np.vstack([[0.0, 0.0], np.cumsum(edges, axis=0)[:-1]])
+
+
+def test_polygon_sum_matches_edge_merge_loop():
+    rng = np.random.default_rng(23)
+    pairs = []
+    for _ in range(150):
+        P, Q = bodies.random_polygon(rng), bodies.random_polygon(rng)
+        S, T = bodies.random_o_symmetric_polygon(rng), bodies.random_o_symmetric_polygon(rng)
+        R = regular_polygon(int(rng.integers(3, 13)), float(rng.uniform(0.1, 10.0)),
+                            float(rng.uniform(0.0, 2.0 * math.pi)))
+        pairs += [(P, Q), (S, T), (P, S), (R, R), (R, regular_polygon(len(R.vertices))),
+                  (R, unit_square())]
+    for P, Q in pairs:
+        V = bodies._polygon_minkowski_sum(P, Q)
+        W = _edge_merge_loop(P, Q)
+        assert V.shape == W.shape
+        assert np.max(np.abs(V - W)) <= 1e-15 * np.max(np.abs(W))
+
+
+def test_polygon_self_sum_is_exactly_doubled():
+    rng = np.random.default_rng(24)
+    for P in ([bodies.random_polygon(rng) for _ in range(50)]
+              + [bodies.random_o_symmetric_polygon(rng) for _ in range(50)]
+              + [regular_polygon(k, 1.0, 0.3) for k in range(3, 13)]):
+        V = P.vertices
+        V = np.roll(V, -np.lexsort((V[:, 0], V[:, 1]))[0], axis=0)
+        assert np.array_equal(bodies._polygon_minkowski_sum(P, P), 2.0 * V)
+
+
+def test_merge_indices():
+    # A has edges 0, 1 and B has edges 2, 3, 4, merged as B A B A B
+    i, j = bodies.merge_indices(np.array([2, 0, 3, 1, 4]), 2)
+    assert i.tolist() == [0, 0, 1, 1, 2, 2]
+    assert j.tolist() == [0, 1, 1, 2, 2, 3]
+
+
 def _majorant_bruteforce(t, v, x):
     """max over chords of point pairs straddling x (the least concave majorant)."""
     i, j = np.meshgrid(np.arange(len(t)), np.arange(len(t)), indexing="ij")

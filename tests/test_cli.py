@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stabgeo import bodies, fileio, pl1d, pln
-from stabgeo.cli import main
+from stabgeo import bodies, experiments, fileio, pl1d, pln
+from stabgeo.cli import _build_parser, main, scan_option
 from stabgeo.errors import ConfigError
 
 
@@ -74,6 +74,19 @@ def test_stack_roundtrip(tmp_path):
     assert back.dim == 3
     assert np.allclose(back.levels, st.levels)
     assert pln.stack_integral(back) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("save", ["profile", "polygon", "gridfn"])
+def test_interrupted_save_keeps_previous_file(tmp_path, disk_full, save):
+    out = tmp_path / "body.csv"
+    out.write_bytes(b"old\n")
+    obj = {"profile": bodies.revolution_ball(3, 1.0, 9),
+           "polygon": bodies.regular_polygon(6),
+           "gridfn": pl1d.GridFn1D(np.linspace(0.0, 1.0, 9), np.ones(9))}[save]
+    with pytest.raises(OSError):
+        getattr(fileio, f"save_{save}")(str(out), obj)
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["body.csv"]
 
 
 def test_stack_header_validation(tmp_path):
@@ -176,9 +189,9 @@ def test_cli_missing_file_is_config_error(capsys):
 
 
 def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys):
-    cfg = tmp_path / "cap.cfg"
-    cfg.write_text("experiment=cap-scan\ngrid=1e-3\nseed=1e3\n")
-    assert main(["cap-scan", "--config", str(cfg)]) == 1
+    cfg = tmp_path / "bs.cfg"
+    cfg.write_text("experiment=bs-scan\ngrid=1e-3\nseed=1e3\n")
+    assert main(["bs-scan", "--config", str(cfg)]) == 1
     good = tmp_path / "good.txt"
     fileio.save_stack(str(good), pln.gaussian_stack(3, level_count=4, samples=17))
     for name, text in (("noeq.txt", "dim=3 levels=1\nt=1 profile\n"),
@@ -244,3 +257,23 @@ def test_cli_one_sample_support_exit_2(tmp_path, capsys):
     assert code == 2
     assert "numerical failure: InvalidDataError" in captured.err
     assert "one sample x = 1.0" in captured.err
+
+
+_SCAN_OPTIONS = {"--dim": "3", "--seed": "1", "--out": "x.csv", "--profile-samples": "65",
+                 "--grid-samples": "65", "--level-count": "8", "--family": "shift",
+                 "--min-deficit": "1e-12"}
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+def test_cli_scan_takes_exactly_the_keys_it_reads(tmp_path, experiment, capsys):
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[experiment]
+    options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help", "--config"}
+    assert options == {scan_option(key) for key in experiments.SCAN_KEYS[experiment]}
+    grid = {"cap-scan": "1e-3,1e-2,2e-2", "bs-scan": "0.5"}.get(experiment, "0.1")
+    unread = sorted(set(_SCAN_OPTIONS) - options)
+    for option in unread:
+        out = tmp_path / "never.csv"
+        assert main([experiment, "--grid", grid, "--out", str(out),
+                     option, _SCAN_OPTIONS[option]]) == 1
+        assert not out.exists()
+    assert capsys.readouterr().err.count("unrecognized arguments") == len(unread)

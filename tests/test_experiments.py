@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,15 +57,15 @@ def test_fit_exponent_recovers_monomials(p, c):
 def test_parse_config_text():
     cfg = ex.parse_config_text(
         """
-        # cap scan at desk scale
-        experiment=cap-scan
+        # bs scan at desk scale
+        experiment=bs-scan
         dim=3
         grid=1e-4,1e-3,1e-2
         seed=7
         min_deficit=1e-10
         """
     )
-    assert cfg.experiment == "cap-scan"
+    assert cfg.experiment == "bs-scan"
     assert cfg.dim == 3
     assert cfg.grid == (1e-4, 1e-3, 1e-2)
     assert cfg.seed == 7
@@ -94,32 +96,49 @@ def test_bad_config_never_writes_output(tmp_path):
     assert not out.exists()
 
 
-def test_interrupted_write_keeps_previous_csv(tmp_path, monkeypatch):
+def test_interrupted_write_keeps_previous_csv(tmp_path, disk_full):
     out = tmp_path / "scan.csv"
     out.write_bytes(b"delta,eps\n1,2\n")
-
-    class DiskFull:
-        """A text file whose writes stop halfway with ENOSPC."""
-
-        def __init__(self, *args, **kwargs):
-            self._fh = open(*args, **kwargs)
-
-        def write(self, text):
-            self._fh.write(text[: len(text) // 2])
-            self._fh.flush()
-            raise OSError(28, "No space left on device")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self._fh.close()
-
-    monkeypatch.setattr(ex, "open", DiskFull, raising=False)
     with pytest.raises(OSError):
         ex._write_csv(str(out), "delta,eps", [(0.5, 0.25), (1.0, 0.5)])
     assert out.read_bytes() == b"delta,eps\n1,2\n"
     assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+
+def test_scan_keys_are_config_keys():
+    # every key a scan reads is a field of the config, and every field but
+    # the experiment name is read by some scan
+    fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)} - {"experiment"}
+    read = {key for keys in ex.SCAN_KEYS.values() for key in keys}
+    assert read == fields
+    assert ex.EXPERIMENTS == tuple(ex.SCAN_KEYS)
+
+
+@pytest.mark.parametrize("experiment", ex.EXPERIMENTS)
+def test_config_key_the_scan_does_not_read_is_config_error(experiment):
+    grid = {"cap-scan": "1e-3", "bs-scan": "0.5"}.get(experiment, "0.1")
+    values = {"dim": "3", "seed": "0", "output_path": "x.csv", "profile_samples": "65",
+              "grid_samples": "65", "level_count": "8", "family": "shift",
+              "min_deficit": "1e-12"}
+    ex.parse_config_text(f"experiment={experiment}\ngrid={grid}\n" + "".join(
+        f"{key}={values[key]}\n" for key in ex.SCAN_KEYS[experiment] if key != "grid"))
+    for key in sorted(set(values) - set(ex.SCAN_KEYS[experiment])):
+        with pytest.raises(ConfigError, match=f"{key} applies to"):
+            ex.parse_config_text(f"experiment={experiment}\ngrid={grid}\n{key}={values[key]}")
+    # a config object may leave an unread key at its default, not set it
+    other = {"dim": 7, "seed": 3, "profile_samples": 99, "grid_samples": 99,
+             "level_count": 9, "family": "shift"}
+    for key in sorted(set(other) - set(ex.SCAN_KEYS[experiment])):
+        cfg = ex.ExperimentConfig(experiment=experiment, grid=(float(grid),), **{key: other[key]})
+        with pytest.raises(ConfigError, match=f"{key} applies to"):
+            cfg.validate()
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Scan configs are", 1)[1].split("```", 2)[1]
+    cfg = ex.parse_config_text(example)
+    assert cfg.experiment in ex.EXPERIMENTS and cfg.grid
 
 
 # ---------------------------------------------------------------------------
