@@ -109,7 +109,13 @@ class Ball:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Planar convex body given by its strictly convex ccw vertex cycle."""
+    """Planar convex body given by its strictly convex ccw vertex cycle.
+
+    ``o_symmetric`` is read from the vertices: it holds when their count is
+    even and every -v lies within 1e-9 times the largest coordinate
+    magnitude of a vertex.  Passing ``o_symmetric=True`` asserts it, and a
+    cycle that is not o-symmetric then raises ``DegenerateBodyError``.
+    """
 
     vertices: np.ndarray
     o_symmetric: bool = False
@@ -130,19 +136,24 @@ class ConvexPolygon:
             raise DegenerateBodyError("vertex cycle is not convex/counterclockwise")
         if polygon_area(V) <= 1e-12 * scale * scale:
             raise DegenerateBodyError("polygon has (near) zero area")
-        if self.o_symmetric:
-            d = _symmetry_defect(V)
-            if d > 1e-9 * scale:
-                raise DegenerateBodyError(
-                    f"polygon flagged o-symmetric but vertex set is not (defect {d:.3g})"
-                )
+        # an o-symmetric cycle pairs each vertex with its negative
+        d = _symmetry_defect(V) if len(V) % 2 == 0 else math.inf
+        symmetric = d <= 1e-9 * scale
+        if self.o_symmetric and not symmetric:
+            raise DegenerateBodyError(
+                f"polygon flagged o-symmetric but vertex set is not (defect {d:.3g})"
+            )
+        object.__setattr__(self, "o_symmetric", symmetric)
         object.__setattr__(self, "vertices", _readonly(V))
 
 
 def _symmetry_defect(V: np.ndarray) -> float:
-    """Max distance from -v to the nearest vertex, over all vertices v."""
-    D = np.linalg.norm(V[:, None, :] + V[None, :, :], axis=2)
-    return float(np.max(np.min(D, axis=1)))
+    """Max distance from -v to the nearest vertex, over all vertices v; the
+    rows v go in blocks of at most 2^16 pairs, so memory stays linear in
+    the vertex count."""
+    rows = max(1, 2 ** 16 // len(V))
+    return max(float(np.max(np.min(np.linalg.norm(V[k:k + rows, None] + V, axis=2), axis=1)))
+               for k in range(0, len(V), rows))
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,7 @@ def as_revolution(K: BodyRef, samples=DEFAULT_PROFILE_SAMPLES) -> RevolutionBody
 def regular_polygon(sides, radius=1.0, phase=0.0) -> ConvexPolygon:
     ang = phase + 2.0 * math.pi * np.arange(sides) / sides
     V = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return ConvexPolygon(V, o_symmetric=(sides % 2 == 0))
+    return ConvexPolygon(V)
 
 
 def random_revolution_body(dim, rng, samples=DEFAULT_PROFILE_SAMPLES, amplitude=1.0):
@@ -311,7 +322,7 @@ def random_o_symmetric_polygon(rng) -> ConvexPolygon:
     upper = rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
     pts = np.vstack([upper, -upper])
     hull = ConvexHull(pts)
-    return ConvexPolygon(pts[hull.vertices], o_symmetric=True)
+    return ConvexPolygon(pts[hull.vertices])
 
 
 def random_polygon(rng, points=12) -> ConvexPolygon:
@@ -344,13 +355,16 @@ def polygon_area(V: np.ndarray) -> float:
 
 
 def polygon_centroid(V: np.ndarray) -> np.ndarray:
-    x, y = V[:, 0], V[:, 1]
-    W = _next_vertices(V)
+    """Centroid of the vertex cycle V; the moment sums are taken about V[0],
+    so they do not cancel when the polygon sits far from the origin."""
+    R = V - V[0]
+    x, y = R[:, 0], R[:, 1]
+    W = _next_vertices(R)
     cr = x * W[:, 1] - W[:, 0] * y
     a = 0.5 * np.sum(cr)
     cx = np.sum((x + W[:, 0]) * cr) / (6.0 * a)
     cy = np.sum((y + W[:, 1]) * cr) / (6.0 * a)
-    return np.array([cx, cy])
+    return V[0] + np.array([cx, cy])
 
 
 def volume(K: BodyRef) -> float:
@@ -408,7 +422,7 @@ def scale(K: BodyRef, factor: float) -> BodyRef:
     if isinstance(K, Ball):
         return Ball(K.dim, K.radius * factor)
     if isinstance(K, ConvexPolygon):
-        return ConvexPolygon(K.vertices * factor, o_symmetric=K.o_symmetric)
+        return ConvexPolygon(K.vertices * factor)
     if isinstance(K, RevolutionBody):
         return RevolutionBody(K.dim, K.t * factor, K.radius * factor)
     raise UnsupportedCombinationError(f"scale: unsupported body {type(K).__name__}")
@@ -500,8 +514,7 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
             raise UnsupportedCombinationError("midpoint of balls of different dimension")
         return Ball(K.dim, 0.5 * (K.radius + C.radius))
     if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
-        V = 0.5 * _polygon_minkowski_sum(K, C)
-        return ConvexPolygon(V, o_symmetric=(K.o_symmetric and C.o_symmetric))
+        return ConvexPolygon(0.5 * _polygon_minkowski_sum(K, C))
     if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
         if K.dim != C.dim:
             raise UnsupportedCombinationError("midpoint of bodies of different dimension")
@@ -561,15 +574,21 @@ def clip_polygons(PV: np.ndarray, CV: np.ndarray) -> np.ndarray:
     return np.array(out) if out else np.empty((0, 2))
 
 
-def intersection_area(P: ConvexPolygon, Q: ConvexPolygon) -> float:
-    V = clip_polygons(P.vertices, Q.vertices)
-    if len(V) < 3:
-        return 0.0
-    return abs(polygon_area(V))
+def intersection_area(P, Q) -> float:
+    """|P cap Q| for convex polygons, each a ConvexPolygon or a ccw vertex
+    array."""
+    PV, QV = (B.vertices if isinstance(B, ConvexPolygon) else B for B in (P, Q))
+    V = clip_polygons(PV, QV)
+    return abs(polygon_area(V)) if len(V) >= 3 else 0.0
+
+
+def polygon_symmetric_difference(P: np.ndarray, Q: np.ndarray) -> float:
+    """|P delta Q| = |P| + |Q| - 2 |P cap Q| for ccw vertex arrays."""
+    return polygon_area(P) + polygon_area(Q) - 2.0 * intersection_area(P, Q)
 
 
 def translate_polygon(P: ConvexPolygon, x) -> ConvexPolygon:
-    return ConvexPolygon(P.vertices + np.asarray(x, float), o_symmetric=False)
+    return ConvexPolygon(P.vertices + np.asarray(x, float))
 
 
 def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
@@ -580,7 +599,7 @@ def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
     polygons use |K| + |C| - 2|K inter C| with convex clipping.
     """
     if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
-        return volume(K) + volume(C) - 2.0 * intersection_area(K, C)
+        return polygon_symmetric_difference(K.vertices, C.vertices)
     if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
         if K.dim != C.dim:
             raise UnsupportedCombinationError("symmetric difference across dimensions")
@@ -619,16 +638,23 @@ def _section_power(K, t) -> np.ndarray:
 
 
 def contains_points(K: BodyRef, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership test (pts of shape (m, dim))."""
+    """Vectorized membership test (pts of shape (m, dim)).
+
+    A point counts as inside a polygon edge line when it lies at most 1e-14
+    times the larger of its own and the polygon's largest coordinate
+    magnitude outside it, as in ``clip_polygons``.
+    """
     pts = np.asarray(pts, dtype=float)
     if isinstance(K, Ball):
         return np.linalg.norm(pts, axis=1) <= K.radius
     if isinstance(K, ConvexPolygon):
         V = K.vertices
         E = _next_vertices(V) - V
+        size = np.maximum(np.max(np.abs(pts), axis=1), np.max(np.abs(V)))
+        tol = -1e-14 * size[:, None] * np.hypot(E[:, 0], E[:, 1])[None, :]
         rel = pts[:, None, :] - V[None, :, :]
         cross = E[None, :, 0] * rel[:, :, 1] - E[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= -1e-12, axis=1)
+        return np.all(cross >= tol, axis=1)
     if isinstance(K, RevolutionBody):
         ta = pts[:, 0]
         rp = np.linalg.norm(pts[:, 1:], axis=1)

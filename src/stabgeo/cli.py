@@ -31,12 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("santalo", help="Santalo point and volume-product deficit")
     s.add_argument("--body", required=True)
-    kind = s.add_mutually_exclusive_group()
-    kind.add_argument("--polygon", action="store_true")
-    kind.add_argument("--profile", action="store_true")
     s.add_argument("--dim", type=int, default=3)
-    s.add_argument("--o-symmetric", action="store_true",
-                   help="treat a polygon input as o-symmetric")
 
     s = sub.add_parser("pl1d", help="1-D midpoint deficit and stability report")
     s.add_argument("--f", required=True, dest="f_path")
@@ -68,16 +63,8 @@ def scan_option(key: str) -> str:
     return "--out" if key == "output_path" else "--" + key.replace("_", "-")
 
 
-def _load_cli_body(args):
-    if args.polygon:
-        return fileio.load_polygon(args.body, o_symmetric=args.o_symmetric)
-    if args.profile:
-        return fileio.load_profile(args.body, args.dim)
-    return fileio.load_body(args.body, dim=args.dim, o_symmetric=args.o_symmetric)
-
-
 def _cmd_santalo(args) -> int:
-    body = _load_cli_body(args)
+    body = fileio.load_body(args.body, dim=args.dim)
     res = polarity.santalo_point(body)
     z = np.zeros(2) if len(res.point) < 2 else res.point[:2]
     print("zx,zy,volume,polar_volume,product,deficit")
@@ -99,8 +86,8 @@ def _cmd_pl1d(args) -> int:
 
 
 def _cmd_fmp(args) -> int:
-    K = fileio.load_body(args.k_path, dim=args.dim, o_symmetric=True)
-    C = fileio.load_body(args.c_path, dim=args.dim, o_symmetric=True)
+    K = fileio.load_body(args.k_path, dim=args.dim)
+    C = fileio.load_body(args.c_path, dim=args.dim)
     rep = fmp.fmp_bound_check(K, C)
     print("sigma,A,gamma_star,lhs_add,rhs_add,lhs_prod,rhs_prod,eta")
     print(csv_row(rep.sigma, rep.A, rep.gamma_star, rep.lhs_additive, rep.rhs_additive,

@@ -87,20 +87,21 @@ def save_profile(path: str, body: RevolutionBody) -> None:
     _write_columns(path, "t,phi", body.t, body.radius)
 
 
-def load_polygon(path: str, o_symmetric: bool = False) -> ConvexPolygon:
+def load_polygon(path: str) -> ConvexPolygon:
     data = _read_two_columns(path, "x,y")
-    return _build(path, ConvexPolygon, data, o_symmetric=o_symmetric)
+    return _build(path, ConvexPolygon, data)
 
 
 def save_polygon(path: str, poly: ConvexPolygon) -> None:
     _write_columns(path, "x,y", poly.vertices[:, 0], poly.vertices[:, 1])
 
 
-def load_body(path: str, dim: int = 3, o_symmetric: bool = False):
-    kind = sniff_body_header(path)
-    if kind == "profile":
+def load_body(path: str, dim: int = 3):
+    """The body a file holds, by its header: a ``dim``-dimensional body of
+    revolution for ``t,phi`` and a polygon for ``x,y``."""
+    if sniff_body_header(path) == "profile":
         return load_profile(path, dim)
-    return load_polygon(path, o_symmetric=o_symmetric)
+    return load_polygon(path)
 
 
 def load_gridfn(path: str, domain: str = WHOLE_LINE) -> GridFn1D:

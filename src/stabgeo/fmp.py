@@ -56,18 +56,12 @@ _ROUNDING = np.finfo(float).eps
 
 def _centered_unit_area(V: np.ndarray):
     """Vertices scaled to unit area about their centroid, and the centroid
-    in the scaled units; both sums are taken relative to V[0], so they do
-    not cancel far from the origin."""
+    in the scaled units; the area is taken relative to V[0], so it does not
+    cancel far from the origin."""
     W = V - V[0]
     c = bodies.polygon_centroid(W)
     root = math.sqrt(bodies.polygon_area(W))
     return (W - c) / root, (V[0] + c) / root
-
-
-def _overlap_area(P: np.ndarray, Q: np.ndarray) -> float:
-    """``bodies.intersection_area`` on ccw vertex arrays."""
-    V = bodies.clip_polygons(P, Q)
-    return abs(bodies.polygon_area(V)) if len(V) >= 3 else 0.0
 
 
 def _outward_normals(V: np.ndarray) -> np.ndarray:
@@ -225,7 +219,7 @@ def _max_overlap(P: np.ndarray, Q: np.ndarray) -> float:
         return ts[lo]                      # the slope jumps there
 
     x = np.zeros(2)
-    g = _overlap_area(P, Q)
+    g = bodies.intersection_area(P, Q)
     s = math.sqrt(g)
     for _ in range(_NEWTON_CAP):
         on = np.abs(nu @ x - r) <= _RIDGE_TOL * diam
@@ -241,7 +235,7 @@ def _max_overlap(P: np.ndarray, Q: np.ndarray) -> float:
         length = float(np.hypot(*step))
         if length > diam:
             step, rise, length = step * (diam / length), rise * (diam / length), diam
-        g_new = _overlap_area(P, Q + x + step)
+        g_new = bodies.intersection_area(P, Q + x + step)
         if g_new < g:
             # the peak of the parabola through s, its slope 2 rise at 0 and
             # s at the end of the step is the first guess
@@ -249,7 +243,7 @@ def _max_overlap(P: np.ndarray, Q: np.ndarray) -> float:
             if t * length <= _NEWTON_STEP_TOL * diam:
                 break
             step = t * step
-            g_new = _overlap_area(P, Q + x + step)
+            g_new = bodies.intersection_area(P, Q + x + step)
             if g_new < g:
                 break
         x, g = x + step, g_new
@@ -278,8 +272,7 @@ def homothetic_distance(K: BodyRef, C: BodyRef) -> float:
         if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
             # scaling keeps a polygon valid, so the scaled vertex arrays are
             # compared without building polygons
-            P, Q = K.vertices * a, C.vertices * b
-            return bodies.polygon_area(P) + bodies.polygon_area(Q) - 2.0 * _overlap_area(P, Q)
+            return bodies.polygon_symmetric_difference(K.vertices * a, C.vertices * b)
         return bodies.symmetric_difference_volume(bodies.scale(K, a), bodies.scale(C, b))
     if not (isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon)):
         raise UnsupportedCombinationError(

@@ -20,8 +20,6 @@ from scipy.optimize import minimize, minimize_scalar
 from .bodies import _trapezoid, merge_indices
 from .errors import ConvergenceError, EmptyFunctionError, InvalidDataError
 
-DEFAULT_GRID_SAMPLES = 4097
-
 WHOLE_LINE = "whole-line"
 HALF_LINE = "half-line"
 
@@ -57,7 +55,6 @@ class GridFn1D:
     values: np.ndarray
     domain: str = WHOLE_LINE
     log_concave: bool = False
-    probability: bool = False
 
     def __post_init__(self):
         g = np.ascontiguousarray(self.grid, dtype=float)
@@ -76,10 +73,6 @@ class GridFn1D:
             raise ValueError("half-line functions need a nonnegative grid")
         if self.log_concave and not _log_concave_ok(g, v):
             raise ValueError("function flagged log-concave fails the discrete check")
-        if self.probability:
-            total = float(_trapezoid(v, g))
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"probability flag set but integral is {total!r}")
         g.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "grid", g)
@@ -232,7 +225,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
     midpoint set is captured without aliasing.  Geometric mode (half-line
     inputs) reduces to arithmetic mode on log-spaced grids.
     """
-    if mean in ("geometric", "geom"):
+    if mean == "geometric":
         if f.domain != HALF_LINE or g.domain != HALF_LINE:
             raise ValueError("geometric-mean mode needs half-line functions")
         hf = exp_substitution(f)
@@ -242,7 +235,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
         vals = mid.values / u
         lc = f.log_concave and g.log_concave and _log_concave_ok(u, vals)
         return GridFn1D(u, vals, HALF_LINE, log_concave=lc)
-    if mean not in ("arithmetic", "arith"):
+    if mean != "arithmetic":
         raise ValueError(f"unknown mean {mean!r}")
 
     xf, vf = _support_slice(f)
@@ -473,9 +466,9 @@ def pl_report(f: GridFn1D, g: GridFn1D, mean="arithmetic", m: GridFn1D | None = 
         m = sup_convolution_midpoint(f, g, mean)
     eps = pl_deficit(f, g, m)
     int_m = integral(m)
-    if mean not in ("arithmetic", "arith", "geometric", "geom"):
+    if mean not in ("arithmetic", "geometric"):
         raise ValueError(f"unknown mean {mean!r}")
-    shift = mean in ("arithmetic", "arith")
+    shift = mean == "arithmetic"
     (a, b, a_g, b_g), _ = _fit(f, m, shift, g)
     l1 = _shift_l1 if shift else _scale_l1
     l1f = l1(f, m, a, b) / int_m

@@ -57,23 +57,23 @@ class LevelStack:
                 raise UnsupportedCombinationError(
                     "stack bodies must be coaxial revolution bodies of the stack dimension"
                 )
-        # meridian supports on 64 directions, one row per level body
-        S = np.vstack([_bodies.meridian_support(b, _THETA) for b in bd])
-        for prev, cur in zip(S[:-1], S[1:]):
-            if np.max(prev - cur) > 1e-7 * max(float(np.max(cur)), 1.0):
+        # tolerances are relative to the meridian circumradii
+        R = [float(np.max(np.hypot(b.t, b.radius))) for b in bd]
+        for prev, cur, R_cur in zip(bd[:-1], bd[1:], R[1:]):
+            if _excess(prev.t, prev.radius, cur) > 1e-7 * max(R_cur, 1.0):
                 raise ValueError("stack bodies are not nested")
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "bodies", bd)
         if self.log_concave and len(bd) >= 3 and _geometric_ratio(lv) is not None:
             # log-concavity of the represented function: on a geometric level
-            # grid the level-body supports must be concave in the level index
-            # (midpoint bodies contain the Minkowski midpoints of their
-            # neighbours).  Note the level-volume profile itself need not be
+            # grid each level body contains the Minkowski midpoint of its two
+            # neighbours.  Note the level-volume profile itself need not be
             # log-concave in t, so it cannot serve as the certificate.
-            gap = 0.5 * (S[:-2] + S[2:]) - S[1:-1]
-            if float(np.max(gap)) > 1e-6 * float(np.max(S)):
-                raise ValueError("stack flagged log-concave fails the support check")
+            for lo, mid, hi in zip(bd[:-2], bd[1:-1], bd[2:]):
+                ts, rs = _bodies.profile_sum(lo, hi)
+                if _excess(0.5 * ts, 0.5 * rs, mid) > 1e-6 * max(R):
+                    raise ValueError("stack flagged log-concave fails the midpoint check")
 
     @cached_property
     def volumes(self) -> np.ndarray:
@@ -81,16 +81,24 @@ class LevelStack:
         v.setflags(write=False)
         return v
 
-    def body_index_at(self, t: float):
-        """Index of the level body {f >= t} (tolerant at breakpoints), or
-        None when t is above the top height."""
-        tt = t * (1.0 - _LOOKUP_RTOL)
-        count = int(np.count_nonzero(self.levels >= tt))
-        return None if count == 0 else count - 1
+    def body_index_at(self, t):
+        """Index of the level body {f >= t} for each t (tolerant at
+        breakpoints), -1 where t is above the top height."""
+        below = np.searchsorted(self.levels[::-1], t * (1.0 - _LOOKUP_RTOL))
+        return len(self.levels) - 1 - below
 
     def body_at(self, t: float):
-        k = self.body_index_at(t)
-        return None if k is None else self.bodies[k]
+        k = int(self.body_index_at(t))
+        return None if k < 0 else self.bodies[k]
+
+
+def _excess(t, r, body: RevolutionBody) -> float:
+    """How far the meridian vertices (t, r) reach outside ``body``: past its
+    axis extent, or above its profile (held constant past the ends).  The
+    meridian is convex, so the polygon of the vertices lies in it when this
+    is at most 0."""
+    return max(float(np.max(np.abs(t))) - body.alpha,
+               float(np.max(r - np.interp(t, body.t, body.radius))))
 
 
 def stack_integral(f: LevelStack) -> float:
@@ -132,26 +140,18 @@ def axis_dilated_stack(f: LevelStack, factor: float) -> LevelStack:
 # ---------------------------------------------------------------------------
 
 
-def stack_from_level_sets(dim, body_fn, levels, sampling="midpoint",
-                          log_concave=False) -> LevelStack:
+def stack_from_level_sets(dim, body_fn, levels, log_concave=False) -> LevelStack:
     """Discretize a continuum of level sets into a stack.
 
-    ``body_fn(s)`` must return the level body {f >= s}.  With
-    ``sampling="midpoint"`` the body stored at height t_k is taken at the
-    geometric midpoint of the level cell (t_k, t_{k+1}), which makes the
-    layer-cake sum second-order accurate in the level spacing; "exact"
-    stores the level set at t_k itself.
+    ``body_fn(s)`` must return the level body {f >= s}.  The body stored at
+    height t_k is taken at the geometric midpoint of the level cell
+    (t_k, t_{k+1}), which makes the layer-cake sum second-order accurate in
+    the level spacing.
     """
     levels = np.asarray(levels, dtype=float)
-    if sampling == "exact":
-        at = levels
-    elif sampling == "midpoint":
-        ratio = levels[-1] / levels[-2] if len(levels) >= 2 else 1.0
-        below = np.concatenate([levels[1:], [levels[-1] * ratio]])
-        at = np.sqrt(levels * below)
-    else:
-        raise ValueError(f"unknown sampling {sampling!r}")
-    bodies_ = tuple(body_fn(s) for s in at)
+    ratio = levels[-1] / levels[-2] if len(levels) >= 2 else 1.0
+    below = np.concatenate([levels[1:], [levels[-1] * ratio]])
+    bodies_ = tuple(body_fn(s) for s in np.sqrt(levels * below))
     return LevelStack(dim, levels, bodies_, log_concave=log_concave)
 
 
@@ -166,11 +166,11 @@ def _quadratic_stack(dim, body_at, level_count, floor) -> LevelStack:
     return normalize_probability(st)
 
 
-def gaussian_stack(dim, level_count=DEFAULT_LEVEL_COUNT, floor=DEFAULT_LEVEL_FLOOR,
-                   samples=257) -> LevelStack:
-    """Probability stack sampled from the Gaussian shape exp(-|x|^2 / 2)."""
+def gaussian_stack(dim, level_count=DEFAULT_LEVEL_COUNT, samples=257) -> LevelStack:
+    """Probability stack sampled from the Gaussian shape exp(-|x|^2 / 2),
+    its heights spanning the factor ``DEFAULT_LEVEL_FLOOR``."""
     return _quadratic_stack(dim, lambda R: _bodies.revolution_ellipsoid(dim, R, R, samples),
-                            level_count, floor)
+                            level_count, DEFAULT_LEVEL_FLOOR)
 
 
 def random_log_concave_stack(dim, rng, level_count=40, floor=1e-5, samples=257) -> LevelStack:
@@ -230,10 +230,9 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
     u = np.geomspace(math.sqrt(f.levels[0] * g.levels[0]),
                      math.sqrt(f.levels[-1] * g.levels[-1]),
                      max(len(f.levels), len(g.levels)))
-    # J[k, i]: largest j with g_j >= u_k^2 / f_i (tolerant as body_index_at),
-    # -1 when there is none; J is nonincreasing in i
-    need = (u[:, None] * u[:, None]) / f.levels[None, :] * (1.0 - _LOOKUP_RTOL)
-    J = np.searchsorted(-g.levels, -need, side="right") - 1
+    # J[k, i]: largest j with g_j >= u_k^2 / f_i, -1 when there is none; J is
+    # nonincreasing in i
+    J = g.body_index_at((u[:, None] * u[:, None]) / f.levels[None, :])
     keep = J >= 0
     keep[:, :-1] &= J[:, :-1] != J[:, 1:]
     if not keep[0].any():

@@ -103,10 +103,7 @@ def polar(K: BodyRef, z=None) -> BodyRef:
         return bodies.sample_profile(K.dim, s_v, psi_v, 1.0 / K.alpha, len(K.t))
     if isinstance(K, ConvexPolygon):
         z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-        W = _polar_vertices(K.vertices, z) + z
-        scale = float(np.max(np.abs(K.vertices - z)))
-        sym = K.o_symmetric and float(np.linalg.norm(z)) <= 1e-12 * scale
-        return ConvexPolygon(W, o_symmetric=sym)
+        return ConvexPolygon(_polar_vertices(K.vertices, z) + z)
     raise UnsupportedCombinationError(f"polar: unsupported body {type(K).__name__}")
 
 
@@ -142,9 +139,11 @@ _NEWTON_STEP_TOL = 1e-15
 # below this predicted decrease (relative to |K^z|) rounding hides the change
 # in |K^z|, so the full Newton step is taken without the descent test
 _NEWTON_FLAT = 1e-12
+# the Meyer-Pajor certificate |centroid(K^z) - z| allowed, in diameters
+_CERTIFICATE_TOL = 1e-6
 
 
-def santalo_point(K: BodyRef, certificate_tol=1e-6) -> SantaloResult:
+def santalo_point(K: BodyRef) -> SantaloResult:
     """Minimize z -> |K^z| over the interior of K.
 
     O-symmetric bodies return z = o directly (the minimizer by symmetry).
@@ -162,7 +161,7 @@ def santalo_point(K: BodyRef, certificate_tol=1e-6) -> SantaloResult:
     predicted decrease rounding cannot resolve is taken whole), and the
     search stops on a step of at most 1e-15 diameters.  The result must
     satisfy the optimality certificate
-    |centroid(K^z) - z| <= certificate_tol * diam (Meyer-Pajor: the
+    |centroid(K^z) - z| <= 1e-6 * diam (Meyer-Pajor: the
     minimizer is the one z that is the centroid of K^z), measured in those
     unit-diameter coordinates: K^z scales inversely to K, so in the given
     units the residual is |centroid(K^z) - z| * diam.  Otherwise
@@ -176,7 +175,7 @@ def santalo_point(K: BodyRef, certificate_tol=1e-6) -> SantaloResult:
         )
     V = K.vertices
     diam = _polygon_diameter(K)
-    c0 = V[0] + bodies.polygon_centroid(V - V[0])
+    c0 = bodies.polygon_centroid(V)
     P = (V - c0) / diam
     Q = bodies._next_vertices(P)
     n = np.column_stack([Q[:, 1] - P[:, 1], P[:, 0] - Q[:, 0]])
@@ -219,7 +218,7 @@ def santalo_point(K: BodyRef, certificate_tol=1e-6) -> SantaloResult:
         )
     z = c0 + diam * z
     resid = diam * float(np.linalg.norm(bodies.polygon_centroid(_polar_vertices(V, z))))
-    if resid > certificate_tol:
+    if resid > _CERTIFICATE_TOL:
         raise ConvergenceError(
             f"Santalo certificate residual {resid:.3g} above tolerance", best=z
         )

@@ -74,8 +74,7 @@ def random_decreasing_logconcave(rng, grid=HALFLINE_GRID):
 
 def probability_gridfn(grid, values, log_concave=False):
     total = float(_trapz(values, grid))
-    return pl1d.GridFn1D(grid, values / total, log_concave=log_concave,
-                         probability=True)
+    return pl1d.GridFn1D(grid, values / total, log_concave=log_concave)
 
 
 class _DiskFull:

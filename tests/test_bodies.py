@@ -315,6 +315,20 @@ def test_clip_inside_test_scales_with_the_polygons(s):
     assert symmetric_difference_volume(A, B) / s ** 2 == pytest.approx(1.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-7, 1e-3, 1.0, 1e3, 1e6])
+def test_polygon_membership_scales_with_the_polygon(s):
+    # an absolute tolerance on the cross product (units length^2) counted
+    # points 0.2 s outside the square [-s, s]^2 as inside at small scales,
+    # and edge midpoints as outside at large ones
+    P = ConvexPolygon(s * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    pts = s * np.array([[1.2, 0.0], [0.0, -1.0 - 1e-9], [0.8, 0.0], [1.0, 1.0], [1.0, 0.3]])
+    assert bodies.contains_points(P, pts).tolist() == [False, False, True, True, True]
+    assert bodies.polygon_hausdorff(P, bodies.scale(P, 1.5)) / s == \
+        pytest.approx(0.5 * math.sqrt(2.0), rel=1e-12)
+    V = regular_polygon(7, s, 0.3).vertices
+    assert bodies.contains_points(ConvexPolygon(V), 0.5 * (V + np.roll(V, -1, axis=0))).all()
+
+
 def test_clip_edge_along_a_clip_line_at_the_tolerance():
     # the edge P0 -> P1 runs exactly along the clip edge (0,0) -> (3,1), 1e-14
     # times the coordinate size outside it, and rounding puts its two ends on
@@ -438,6 +452,22 @@ def test_random_polygon_hull_is_valid(seed):
     rng = np.random.default_rng(seed)
     K = bodies.random_polygon(rng)
     assert volume(K) > 0
+
+
+def test_polygon_symmetry_is_read_from_the_vertices():
+    square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    assert ConvexPolygon(square).o_symmetric
+    assert ConvexPolygon(square + [1e-10, 0.0]).o_symmetric  # within 1e-9 of the size
+    assert not ConvexPolygon(square + [1e-6, 0.0]).o_symmetric
+    assert regular_polygon(6).o_symmetric and not regular_polygon(5).o_symmetric
+    rng = np.random.default_rng(0)
+    assert bodies.random_o_symmetric_polygon(rng).o_symmetric
+    P = bodies.random_polygon(rng)
+    assert not P.o_symmetric
+    # (P - P)/2 is o-symmetric although P is not
+    assert minkowski_midpoint(P, ConvexPolygon(-P.vertices)).o_symmetric
+    with pytest.raises(DegenerateBodyError):
+        ConvexPolygon(square + [1e-6, 0.0], o_symmetric=True)
 
 
 def test_polygon_validation_errors():

@@ -1,4 +1,6 @@
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def test_profile_roundtrip(tmp_path, ball_file):
 
 
 def test_polygon_roundtrip(tmp_path, square_file):
-    poly = fileio.load_polygon(square_file, o_symmetric=True)
+    poly = fileio.load_polygon(square_file)
     assert bodies.volume(poly) == pytest.approx(4.0)
     out = tmp_path / "copy.csv"
     fileio.save_polygon(str(out), poly)
@@ -102,7 +104,7 @@ def test_stack_header_validation(tmp_path):
 
 
 def test_cli_santalo_square(square_file, capsys):
-    code = main(["santalo", "--body", square_file, "--o-symmetric"])
+    code = main(["santalo", "--body", square_file])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "zx,zy,volume,polar_volume,product,deficit"
@@ -112,11 +114,25 @@ def test_cli_santalo_square(square_file, capsys):
 
 
 def test_cli_santalo_profile(ball_file, capsys):
-    code = main(["santalo", "--body", ball_file, "--profile", "--dim", "3"])
+    code = main(["santalo", "--body", ball_file, "--dim", "3"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     deficit = float(out[1].split(",")[5])
     assert abs(deficit) <= 1e-6
+
+
+def test_cli_body_kind_and_symmetry_come_from_the_file(tmp_path, square_file, capsys):
+    assert main(["santalo", "--body", square_file]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,4,2,8,0.233700550136"
+    triangle = tmp_path / "triangle.csv"
+    triangle.write_text("x,y\n0,0\n2,0\n0,1\n")
+    assert main(["fmp", "--k", str(triangle), "--c", square_file]) == 0
+    for flag in ("--polygon", "--profile", "--o-symmetric"):
+        assert main(["santalo", "--body", square_file, flag]) == 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n")
+    assert main(["santalo", "--body", str(bad)]) == 1
+    assert "unrecognized body header" in capsys.readouterr().err
 
 
 def test_cli_pl1d(tmp_path, capsys):
@@ -206,7 +222,7 @@ def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys):
     assert main(["pln", "--f", str(swapped), "--g", str(good)]) == 1
     nan = tmp_path / "nan.csv"
     nan.write_text("t,phi\n-1,0\n0,nan\n1,0\n")
-    assert main(["santalo", "--body", str(nan), "--profile"]) == 1
+    assert main(["santalo", "--body", str(nan)]) == 1
     assert capsys.readouterr().err.count("config error") == 5
 
 
@@ -277,3 +293,35 @@ def test_cli_scan_takes_exactly_the_keys_it_reads(tmp_path, experiment, capsys):
                      option, _SCAN_OPTIONS[option]]) == 1
         assert not out.exists()
     assert capsys.readouterr().err.count("unrecognized arguments") == len(unread)
+
+
+def _write_readme_inputs(d: Path) -> None:
+    """The input files the README's commands name, small enough to run."""
+    (d / "square.csv").write_text("x,y\n1,1\n-1,1\n-1,-1\n1,-1\n")
+    (d / "triangle.csv").write_text("x,y\n0,0\n2,0\n0,1\n")
+    fileio.save_profile(str(d / "profile.csv"), bodies.revolution_ellipsoid(3, 1.5, 0.8, 257))
+    x = np.linspace(-6.0, 6.0, 401)
+    fileio.save_gridfn(str(d / "f.csv"), pl1d.GridFn1D(x, np.exp(-(x - 0.3) ** 2)))
+    fileio.save_gridfn(str(d / "g.csv"), pl1d.GridFn1D(x, np.exp(-0.5 * x * x)))
+    f = pln.gaussian_stack(3, level_count=8, samples=33)
+    fileio.save_stack(str(d / "stack_f.txt"), f)
+    fileio.save_stack(str(d / "stack_g.txt"), pln.axis_dilated_stack(f, 1.2))
+
+
+def test_readme_commands_parse_and_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("### File formats", 1)[0]
+    blocks = section.split("```")[1::2]
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("stabgeo ")]
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    assert {args[0] for args in commands} == set(subcommands)
+    _write_readme_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        try:
+            _build_parser().parse_args(args)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: stabgeo {shlex.join(args)}")
+        if args[0] not in experiments.EXPERIMENTS:
+            assert main(args) == 0, f"stabgeo {shlex.join(args)}"

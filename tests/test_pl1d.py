@@ -50,8 +50,6 @@ def test_gridfn_validation():
         GridFn1D(np.array([0.0, 1.0]), np.array([1.0, -0.5]))  # negative value
     with pytest.raises(ValueError):
         GridFn1D(np.array([-1.0, 1.0]), np.ones(2), domain=HALF_LINE)
-    with pytest.raises(ValueError):  # not a probability
-        GridFn1D(np.array([0.0, 1.0]), np.array([3.0, 3.0]), probability=True)
     with pytest.raises(ValueError):  # flagged log-concave but convex in log
         x = np.linspace(-1, 1, 51)
         GridFn1D(x, np.exp(x * x), log_concave=True)

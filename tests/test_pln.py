@@ -44,6 +44,44 @@ def test_stack_validation():
         LevelStack(3, np.array([]), ())
 
 
+def test_stack_nesting_check_is_exact():
+    # a level body poking 1e-4 out of the next one, at an angle midway
+    # between two directions of a 64-direction support table, is not nested
+    outer = revolution_ball(3, 1.0, 2049)
+    inner = revolution_ball(3, 0.9, 2049)
+    phi = 20.0 * math.pi / 64.0
+    for reach, nested in ((1.0 + 1e-4, False), (1.0 - 1e-4, True)):
+        t, r = bodies.upper_hull(np.append(inner.t, reach * math.cos(phi) * np.array([-1.0, 1.0])),
+                                 np.append(inner.radius, [reach * math.sin(phi)] * 2))
+        spiked = bodies.sample_profile(3, t, r, 0.9, 2049)
+        if nested:
+            LevelStack(3, np.array([2.0, 1.0]), (spiked, outer))
+        else:
+            with pytest.raises(ValueError, match="not nested"):
+                LevelStack(3, np.array([2.0, 1.0]), (spiked, outer))
+
+
+def test_log_concave_stack_contains_neighbour_midpoints():
+    # on the geometric grid 4, 2, 1 the middle body must contain the
+    # midpoint of its neighbours, radius (0.2 + 1.0) / 2 = 0.6
+    levels = np.array([4.0, 2.0, 1.0])
+    for mid, ok in ((0.7, True), (0.5, False)):
+        bd = tuple(revolution_ball(3, r, 129) for r in (0.2, mid, 1.0))
+        if ok:
+            assert LevelStack(3, levels, bd, log_concave=True).log_concave
+        else:
+            with pytest.raises(ValueError, match="log-concave"):
+                LevelStack(3, levels, bd, log_concave=True)
+
+
+def test_body_index_at_takes_arrays():
+    st = ball_stack([(2.0, 0.5), (1.0, 1.0)])
+    t = np.array([[3.0, 2.0, 2.0 * (1.0 + 1e-12)], [1.5, 1.0, 0.1]])
+    assert st.body_index_at(t).tolist() == [[-1, 0, 0], [0, 1, 1]]
+    assert [st.body_index_at(x) for x in t.ravel()] == [-1, 0, 0, 0, 1, 1]
+    assert st.body_at(3.0) is None and st.body_at(0.1) is st.bodies[1]
+
+
 def test_stack_integral_indicator():
     st = ball_stack([(1.0, 1.0)], samples=2049)
     assert stack_integral(st) == pytest.approx(KAPPA_3, rel=1e-6)
@@ -62,11 +100,11 @@ def test_stack_integral_gaussian():
     def body_fn(s):
         return revolution_ball(3, math.sqrt(math.log(1.0 / s)), 257)
 
-    st = stack_from_level_sets(3, body_fn, levels, sampling="midpoint")
+    st = stack_from_level_sets(3, body_fn, levels)
     assert stack_integral(st) == pytest.approx(math.pi ** 1.5, rel=0.02)
     # and the error shrinks when the level grid is refined
     levels2 = np.geomspace(1.0 * (1e-6) ** (1.0 / 512.0), 1e-6, 256)
-    st2 = stack_from_level_sets(3, body_fn, levels2, sampling="midpoint")
+    st2 = stack_from_level_sets(3, body_fn, levels2)
     err1 = abs(stack_integral(st) - math.pi ** 1.5)
     err2 = abs(stack_integral(st2) - math.pi ** 1.5)
     assert err2 < err1
@@ -92,7 +130,7 @@ def test_section_profile_gaussian_closed_form():
     def body_fn(s):
         return revolution_ball(3, math.sqrt(math.log(1.0 / s)), 513)
 
-    st = stack_from_level_sets(3, body_fn, levels, sampling="exact")
+    st = LevelStack(3, levels, tuple(body_fn(s) for s in levels))
     F = section_profile(st)
     expect = KAPPA_3 * np.log(1.0 / F.grid) ** 1.5
     assert float(np.max(np.abs(F.values - expect) / expect)) <= 1e-5
