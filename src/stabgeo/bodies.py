@@ -137,7 +137,7 @@ class ConvexPolygon:
         if polygon_area(V) <= 1e-12 * scale * scale:
             raise DegenerateBodyError("polygon has (near) zero area")
         # an o-symmetric cycle pairs each vertex with its negative
-        d = _symmetry_defect(V) if len(V) % 2 == 0 else math.inf
+        d = _symmetry_defect(V, 1e-9 * scale) if len(V) % 2 == 0 else math.inf
         symmetric = d <= 1e-9 * scale
         if self.o_symmetric and not symmetric:
             raise DegenerateBodyError(
@@ -147,10 +147,19 @@ class ConvexPolygon:
         object.__setattr__(self, "vertices", _readonly(V))
 
 
-def _symmetry_defect(V: np.ndarray) -> float:
-    """Max distance from -v to the nearest vertex, over all vertices v; the
-    rows v go in blocks of at most 2^16 pairs, so memory stays linear in
-    the vertex count."""
+def _symmetry_defect(V: np.ndarray, tol: float) -> float:
+    """Max distance from -v to the nearest vertex, over all vertices v, or a
+    bound on it that is at most ``tol``.
+
+    A ccw o-symmetric cycle of n vertices pairs V[k] with V[k + n/2], and
+    |V[k] + V[k + n/2]| bounds the distance from -V[k] to its nearest
+    vertex, so the pairs settle a symmetric cycle in O(n).  Otherwise the
+    nearest-vertex search runs, its rows v in blocks of at most 2^16 pairs,
+    so memory stays linear in the vertex count."""
+    h = len(V) // 2
+    paired = float(np.max(np.linalg.norm(V[:h] + V[h:], axis=1)))
+    if paired <= tol:
+        return paired
     rows = max(1, 2 ** 16 // len(V))
     return max(float(np.max(np.min(np.linalg.norm(V[k:k + rows, None] + V, axis=2), axis=1)))
                for k in range(0, len(V), rows))

@@ -88,6 +88,9 @@ def _cmd_pl1d(args) -> int:
 def _cmd_fmp(args) -> int:
     K = fileio.load_body(args.k_path, dim=args.dim)
     C = fileio.load_body(args.c_path, dim=args.dim)
+    if type(K) is not type(C):
+        raise ConfigError(f"fmp needs two bodies of one kind; --k holds a "
+                          f"{type(K).__name__} and --c a {type(C).__name__}")
     rep = fmp.fmp_bound_check(K, C)
     print("sigma,A,gamma_star,lhs_add,rhs_add,lhs_prod,rhs_prod,eta")
     print(csv_row(rep.sigma, rep.A, rep.gamma_star, rep.lhs_additive, rep.rhs_additive,

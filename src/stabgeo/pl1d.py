@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .bodies import _trapezoid, merge_indices
-from .errors import ConvergenceError, EmptyFunctionError, InvalidDataError
+from .errors import EmptyFunctionError, InvalidDataError
 
 WHOLE_LINE = "whole-line"
 HALF_LINE = "half-line"
@@ -306,17 +306,24 @@ def exp_substitution(H: GridFn1D) -> GridFn1D:
 # ---------------------------------------------------------------------------
 
 
-def _l1_between(xa, va, xb, vb):
-    """int |A - B| for the piecewise-linear A on the increasing grid xa and
-    B on xb (both zero outside), by the trapezoid rule on the union of the
-    grids.  The concatenation is two sorted runs, which a stable sort merges
-    in linear time; the sum is numpy's own trapezoid, term for term."""
+def _union(xa, va, xb, vb):
+    """(xs, A, B): the union of the increasing grids xa and xb, with the
+    piecewise-linear A (values va on xa) and B (vb on xb), both zero outside
+    their grids, interpolated onto it.  The concatenation is two sorted runs,
+    which a stable sort merges in linear time."""
     xs = np.sort(np.concatenate((xa, xb)), kind="stable")
     same = xs[1:] == xs[:-1]
     if same.any():
         xs = xs[np.append(True, ~same)]
-    y = np.abs(np.interp(xs, xa, va, left=0.0, right=0.0)
-               - np.interp(xs, xb, vb, left=0.0, right=0.0))
+    return (xs, np.interp(xs, xa, va, left=0.0, right=0.0),
+            np.interp(xs, xb, vb, left=0.0, right=0.0))
+
+
+def _l1_between(xa, va, xb, vb):
+    """int |A - B| for A on xa and B on xb by the trapezoid rule on the union
+    of the grids; the sum is numpy's own trapezoid, term for term."""
+    xs, A, B = _union(xa, va, xb, vb)
+    y = np.abs(A - B)
     return float(np.add.reduce(np.diff(xs) * (y[1:] + y[:-1]) / 2.0))
 
 
@@ -330,68 +337,248 @@ def _scale_l1(f: GridFn1D, m: GridFn1D, a: float, b: float) -> float:
     return _l1_between(f.grid, f.values, m.grid / b, a * m.values)
 
 
-def _multistart_minimize(objective, x0, spreads):
-    """Nelder-Mead from x0 and from x0 moved by +-spreads[k] along each axis.
-    Of the minima within rounding of the best, the one closest to x0 wins,
-    so flat valleys give a deterministic answer."""
-    x0 = np.asarray(x0, float)
-    starts = [x0]
-    for k in range(len(x0)):
-        for sgn in (+1.0, -1.0):
-            s = x0.copy()
-            s[k] += sgn * spreads[k]
-            starts.append(s)
-    results = []
-    for s in starts:
-        res = minimize(objective, s, method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=1e-14, maxiter=4000))
-        if np.all(np.isfinite(res.x)) and np.isfinite(res.fun):
-            results.append(res)
-    if not results:
-        raise ConvergenceError("all descent starts diverged", best=x0)
-    best_val = min(r.fun for r in results)
-    eligible = [r for r in results if r.fun <= best_val + 1e-12 * (1.0 + abs(best_val))]
-    eligible.sort(key=lambda r: float(np.linalg.norm(r.x - x0)))
-    return eligible[0]
+def _trapezoid_weights(xs):
+    d = np.diff(xs) / 2.0
+    w = np.zeros(len(xs))
+    w[:-1] += d
+    w[1:] += d
+    return w
+
+
+def _best_amplitude(f_part, g_part=None):
+    """(a, value) minimizing sum_k w_k |F_k - a M_k| + sum_j w'_j |G_j - M'_j / a|
+    over a > 0, where f_part = (xs, F, M) and g_part = (xs', G, M') are
+    summed by the trapezoid rule on their grids.
+
+    Term k changes form at its breakpoint F_k / M_k, term j at M'_j / G_j
+    (infinite when the divisor is zero or the quotient overflows: then it
+    never changes).  Between consecutive breakpoints the sum is
+    alpha + beta a + gamma / a, with coefficients from cumulative sums over
+    the sorted breakpoints, so its minimum lies at a breakpoint or at an
+    interior sqrt(gamma / beta).  The candidates are ranked by that closed
+    form and the winner's value is summed directly.  Where no candidate is
+    finite and positive (supports that only touch), a = 1."""
+    parts = [(f_part, False)] + ([] if g_part is None else [(g_part, True)])
+    parts = [(_trapezoid_weights(xs), P, Q, inverse) for (xs, P, Q), inverse in parts]
+    bp, c_const, c_slope = [], [], []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for w, P, Q, inverse in parts:
+            keep = (P > 0) | (Q > 0)
+            w, P, Q = w[keep], P[keep], Q[keep]
+            # each term's coefficients below its breakpoint
+            if inverse:  # w |P - Q / a| = w (Q / a - P) for a < Q / P
+                bp.append(Q / P), c_const.append(-w * P), c_slope.append(w * Q)
+            else:  # w |P - a Q| = w (P - a Q) for a < P / Q
+                bp.append(P / Q), c_const.append(w * P), c_slope.append(-w * Q)
+        n_f = len(bp[0])
+        bp = np.concatenate(bp)
+        order = np.argsort(bp, kind="stable")
+        bp = bp[order]
+
+        def on_intervals(c):  # interval i lies above the first i breakpoints
+            s = np.empty(len(c) + 1)
+            s[0] = 0.0
+            np.cumsum(c, out=s[1:])
+            return s[-1] - 2.0 * s
+
+        al = on_intervals(np.take(np.concatenate(c_const), order))
+        c_slope = np.take(np.concatenate(c_slope), order)
+        if g_part is None:
+            be = on_intervals(c_slope)
+            cand, val = bp, al[1:] + be[1:] * bp
+        else:
+            of_f = order < n_f
+            be = on_intervals(np.where(of_f, c_slope, 0.0))
+            ga = on_intervals(np.where(of_f, 0.0, c_slope))
+            root = np.sqrt(ga / be)
+            inside = (be > 0) & (ga > 0)
+            inside[1:] &= root[1:] > bp
+            inside[:-1] &= root[:-1] < bp
+            r = root[inside]
+            cand = np.concatenate((bp, r))
+            val = np.concatenate((al[1:] + be[1:] * bp + ga[1:] / bp,
+                                  al[inside] + be[inside] * r + ga[inside] / r))
+        ok = (cand > 0) & (cand < np.inf) & (val < np.inf)
+    a = float(cand[ok][np.argmin(val[ok])]) if ok.any() else 1.0
+    total = 0.0
+    for w, P, Q, inverse in parts:
+        total += float(np.dot(w, np.abs(P - (Q / a if inverse else a * Q))))
+    return a, total
+
+
+_SCAN_POINTS = 41  # over the overlap range
+_START_POINTS = 21  # over the box around the moment-matched start
+_POLISH_POINTS = 17  # over one grid cell either side
+_POLISH_JUMPS = 16  # the jumps nearest the result
+_BRACKETS = 3
+_NUDGE = 1e-12
+
+
+def _scan_minimize(objective, qs, q0, brackets, xatol=1e-12, breaks=()):
+    """(q, objective(q)) near the minimum of objective over [qs[0], qs[-1]]:
+    objective on the increasing scan qs, then a bounded Brent search between
+    the neighbours of each of the ``brackets`` lowest local minima of that
+    scan.  At each offset in ``breaks`` the objective may jump: the scan
+    gets that offset and a point just either side of it (no further than
+    halfway to the next break), and points with a break between them are
+    not neighbours.  Of the searched minima within rounding of the best, the
+    one nearest q0 wins, so flat valleys give a deterministic answer."""
+    if len(breaks):
+        breaks = np.unique(breaks)
+        half_gap = np.diff(breaks) / 2.0
+        nudge = _NUDGE * (1.0 + np.abs(breaks))
+        qs = np.unique(np.concatenate((
+            qs, breaks, breaks - np.minimum(nudge, np.append(np.inf, half_gap)),
+            breaks + np.minimum(nudge, np.append(half_gap, np.inf)))))
+    side = np.searchsorted(breaks, qs) + np.searchsorted(breaks, qs, side="right")
+    vals = [objective(q) for q in qs]
+    n = len(qs)
+    found, searched = [], 0
+    for k in np.argsort(vals, kind="stable"):
+        lo = k - 1 if k > 0 and side[k - 1] == side[k] else k
+        hi = k + 1 if k < n - 1 and side[k + 1] == side[k] else k
+        if lo == hi:  # a break offset itself
+            found.append((qs[k], vals[k]))
+        elif searched < brackets and min(vals[lo], vals[hi]) >= vals[k]:
+            res = minimize_scalar(objective, bounds=(qs[lo], qs[hi]),
+                                  method="bounded", options=dict(xatol=xatol))
+            found.append((res.x, res.fun))
+            searched += 1
+    best = min(v for _, v in found)
+    eligible = [r for r in found if r[1] <= best + 1e-12 * (1.0 + abs(best))]
+    return min(eligible, key=lambda r: abs(r[0] - q0))
+
+
+def _support_ends(h: GridFn1D, log: bool):
+    """First and last abscissa of h's positivity set; in logs, the first
+    positive one."""
+    pos = np.flatnonzero(h.values > 0)
+    x = h.grid[pos[0]:pos[-1] + 1]
+    if log:
+        x = np.log(x[x > 0])
+    return float(x[0]), float(x[-1])
+
+
+def _mean_cell(h: GridFn1D, log: bool):
+    """Width of h's grid cell at its mean abscissa, in logs for the scale form."""
+    k = int(np.clip(np.searchsorted(h.grid, mean_abscissa(h)), 1, len(h.grid) - 1))
+    x0, x1 = h.grid[k - 1], h.grid[k]
+    return math.log(x1 / x0) if log and x0 > 0 else float(x1 - x0)
 
 
 def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
     """((a, b, 1/a, -b or 1/b), L1) minimizing int |f(t) - a m(t + b)| dt in
     shift form, or int |f(t) - a m(b t)| dt in scale form; with g, the
     distance of g from (1/a) m(t - b), or (1/a) m(t / b), is added.  The L1
-    is not normalized.
+    is not normalized; it is the trapezoid sum of _l1_between at (a, b).
 
-    The search runs over (ln a, b), or (ln a, ln b), from the moment-matched
-    start: a m carries the mass of f and its mean is moved onto f's.
+    For each offset q = b, or q = ln b, the best a is exact
+    (_best_amplitude).  _scan_minimize searches q over the offsets at which
+    the moved support of m overlaps that of f (and of g, where both can),
+    more finely around the moment-matched start q0, which moves the mean of
+    m onto that of f, to a quarter of a grid cell.  A second scan over one
+    grid cell either side of the result, split where the sum jumps
+    (_end_crossings), and _kink_vertex polish it.  Ties go to the offset
+    nearest q0.
     """
-    int_m = integral(m)
+    log = not shift
+    (f0, f1), (m0, m1) = _support_ends(f, log), _support_ends(m, log)
+    lo, hi = m0 - f1, m1 - f0
+    cell = max(_mean_cell(f, log), _mean_cell(m, log))
+    if g is not None:
+        g0, g1 = _support_ends(g, log)
+        if max(lo, g0 - m1) < min(hi, g1 - m0):
+            lo, hi = max(lo, g0 - m1), min(hi, g1 - m0)
+        cell = max(cell, _mean_cell(g, log))
     if shift:
-        a0 = integral(f) / int_m
-        x0 = [math.log(max(a0, 1e-12)), mean_abscissa(m) - mean_abscissa(f)]
-        spreads = [0.5, 0.25 * (f.grid[-1] - f.grid[0])]
-        l1 = _shift_l1
+        q0 = mean_abscissa(m) - mean_abscissa(f)
+        box = 0.25 * (f.grid[-1] - f.grid[0])
 
-        def params(p):
-            a = math.exp(p[0])
-            return a, float(p[1]), 1.0 / a, -float(p[1])
+        def params(a, q):
+            return a, q, 1.0 / a, -q
+
+        def moved(b):
+            return m.grid - b
     else:
-        b0 = mean_abscissa(m) / mean_abscissa(f)
-        a0 = b0 * integral(f) / int_m
-        x0 = [math.log(max(a0, 1e-12)), math.log(max(b0, 1e-12))]
-        spreads = [0.5, 0.5]
-        l1 = _scale_l1
+        q0 = math.log(mean_abscissa(m) / mean_abscissa(f))
+        box = 0.5
 
-        def params(p):
-            a, b = math.exp(p[0]), math.exp(p[1])
+        def params(a, q):
+            b = math.exp(q)
             return a, b, 1.0 / a, 1.0 / b
 
-    def objective(p):
-        a, b, a_g, b_g = params(p)
-        dist = l1(f, m, a, b)
-        return dist if g is None else dist + l1(g, m, a_g, b_g)
+        def moved(b):
+            return m.grid / b
 
-    res = _multistart_minimize(objective, x0, spreads)
-    return params(res.x), res.fun
+    def parts(q):
+        _, b, _, b_g = params(1.0, q)
+        yield f, moved(b), 1
+        if g is not None:
+            yield g, moved(b_g), -1
+
+    def best(q):
+        f_part, *g_part = [_union(h.grid, h.values, y, m.values) for h, y, _ in parts(q)]
+        return _best_amplitude(f_part, g_part[0] if g_part else None)
+
+    def value(q):
+        return best(q)[1]
+
+    qs = np.union1d(np.linspace(lo, hi, _SCAN_POINTS),
+                    np.linspace(max(lo, q0 - box), min(hi, q0 + box), _START_POINTS))
+    q, v = _scan_minimize(value, qs, q0, _BRACKETS, cell / 4)
+    # in offsets u from q, so that Brent's tolerance, relative to |u|, is fine
+    jumps = _end_crossings(list(parts(q)), m, log, best(q)[0], v) - q
+    jumps = jumps[np.argsort(np.abs(jumps), kind="stable")[:_POLISH_JUMPS]]
+    u, v = _scan_minimize(lambda u: value(q + u), cell * np.linspace(-1.0, 1.0, _POLISH_POINTS),
+                          q0 - q, _BRACKETS, 1e-9 * cell, jumps[np.abs(jumps) < cell])
+    q += u
+    for t in (1e-8 * cell, 1e-12 * cell):  # Brent stops within t of a kink
+        q, v = _kink_vertex(lambda u: value(q + u), t, v, q)
+    a, b, a_g, b_g = p = params(best(q)[0], q)
+    l1 = _shift_l1 if shift else _scale_l1
+    dist = l1(f, m, a, b)
+    return p, dist if g is None else dist + l1(g, m, a_g, b_g)
+
+
+def _kink_vertex(objective, t, v, q):
+    """(q + u, objective(u)) at the vertex of a V-shaped minimum near u = 0,
+    where the secants through -2t, -t and t, 2t cross, when that beats
+    (q, v); else (q, v).  Brent's search stops at a relative tolerance, and
+    at a kink the sum grows linearly in the distance to it."""
+    y = [objective(u) for u in (-2.0 * t, -t, t, 2.0 * t)]
+    left, right = (y[1] - y[0]) / t, (y[3] - y[2]) / t
+    if not left < 0.0 < right:
+        return q, v
+    u = (y[2] - y[1] + (left + right) * t) / (left - right)
+    if not -t < u < t:
+        return q, v
+    vu = objective(u)
+    return (q + u, vu) if vu < v else (q, v)
+
+
+def _end_crossings(parts, m, log, a, value):
+    """Offsets at which the trapezoid L1 of _fit jumps.
+
+    A function that is nonzero at an end of its grid drops to 0 over the
+    union-grid cell beyond that end, so the sum jumps whenever that end
+    node meets a node of the other grid.  Ends whose jump cannot move the
+    sum by 1e-10 of ``value`` are left out.  ``parts`` holds (h, moved grid
+    of m, s), the moved nodes lying at L(m.grid) - s q, L the identity or
+    the logarithm."""
+    out = []
+    with np.errstate(divide="ignore"):
+        for h, y, s in parts:
+            x = h.grid
+            lx, lm = (np.log(x), np.log(m.grid)) if log else (x, m.grid)
+            cell = max(float(np.max(np.diff(x))), float(np.max(np.diff(y))))
+            c = a if s > 0 else 1.0 / a
+            for e in (0, -1):
+                if h.values[e] * cell > 1e-10 * value:  # h's end meets nodes of m
+                    out.append(s * (lm - lx[e]))
+                if c * m.values[e] * cell > 1e-10 * value:  # m's end meets nodes of h
+                    out.append(s * (lm[e] - lx))
+    out = np.concatenate(out) if out else np.zeros(0)
+    return out[np.isfinite(out)]
 
 
 def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=False):
@@ -418,13 +605,9 @@ def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=F
                 c = math.exp(q)
                 return _scale_l1(f, m, c, c)
 
-            qs = np.linspace(c0 - 2.5, c0 + 2.5, 41)
-            vals = [obj1(q) for q in qs]
-            k = int(np.argmin(vals))
-            res = minimize_scalar(obj1, bounds=(qs[max(k - 1, 0)], qs[min(k + 1, len(qs) - 1)]),
-                                  method="bounded", options=dict(xatol=1e-12))
-            c = math.exp(res.x)
-            return c, c, float(res.fun) / int_m
+            q, l1 = _scan_minimize(obj1, np.linspace(c0 - 2.5, c0 + 2.5, 41), c0, 1)
+            c = math.exp(q)
+            return c, c, float(l1) / int_m
         (a, b, _, _), l1 = _fit(f, m, shift=False)
         return a, b, l1 / int_m
     raise ValueError(f"unknown stability mode {mode!r}")

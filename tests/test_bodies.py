@@ -470,6 +470,35 @@ def test_polygon_symmetry_is_read_from_the_vertices():
         ConvexPolygon(square + [1e-6, 0.0], o_symmetric=True)
 
 
+def _nearest_vertex_defect(V):
+    """Max distance from -v to the nearest vertex, by the full search (oracle)."""
+    return float(np.max(np.min(np.linalg.norm(V[:, None] + V[None], axis=2), axis=1)))
+
+
+def test_polygon_symmetry_pairs_agree_with_the_nearest_vertex_search():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        if trial % 2:
+            V = bodies.random_o_symmetric_polygon(rng).vertices
+        else:  # a symmetric ellipse sampled at 2k points
+            k = int(rng.integers(2, 200))
+            ang = rng.uniform(0.0, 2.0 * math.pi) + math.pi * np.arange(2 * k) / k
+            V = np.column_stack([rng.uniform(0.5, 3.0) * np.cos(ang), np.sin(ang)])
+        V = np.roll(V, int(rng.integers(len(V))), axis=0) * 10.0 ** rng.uniform(-6, 6)
+        scale = float(np.max(np.abs(V)))
+        for rel in (0.0, 1e-10, 1e-8):
+            W = V + rel * scale * rng.uniform(-1.0, 1.0, V.shape)
+            if trial % 3 == 0:  # one vertex moved only
+                W = V.copy()
+                W[int(rng.integers(len(V)))] += rel * scale
+            expected = _nearest_vertex_defect(W) <= 1e-9 * float(np.max(np.abs(W)))
+            assert ConvexPolygon(W).o_symmetric == expected
+            if rel == 0.0:
+                assert expected
+            if rel == 1e-8 and trial % 3:
+                assert not expected
+
+
 def test_polygon_validation_errors():
     with pytest.raises(DegenerateBodyError):
         ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0]]))

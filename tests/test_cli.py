@@ -156,6 +156,17 @@ def test_cli_fmp(ball_file, capsys):
     assert vals[0] == 1.0 and abs(vals[1]) <= 1e-9
 
 
+def test_cli_fmp_rejects_mixed_body_kinds(tmp_path, square_file, capsys):
+    profile = tmp_path / "profile.csv"
+    fileio.save_profile(str(profile), bodies.revolution_ellipsoid(3, 1.5, 0.8, 33))
+    for extra in ([], ["--dim", "2"]):
+        for k, c in ((str(profile), square_file), (square_file, str(profile))):
+            assert main(["fmp", "--k", k, "--c", c] + extra) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err
+            assert "RevolutionBody" in err and "ConvexPolygon" in err
+
+
 def test_cli_pln(tmp_path, capsys):
     f = pln.gaussian_stack(3, level_count=16, samples=65)
     g = pln.axis_dilated_stack(f, 1.15)

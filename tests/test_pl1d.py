@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize, minimize_scalar
 
 from conftest import (
     PAIR_GRID,
@@ -18,9 +19,11 @@ from stabgeo import pl1d
 from stabgeo.errors import EmptyFunctionError
 from stabgeo.pl1d import (
     HALF_LINE,
+    WHOLE_LINE,
     GridFn1D,
     exp_substitution,
     integral,
+    mean_abscissa,
     omega,
     pl_deficit,
     pl_report,
@@ -472,6 +475,201 @@ def test_scaling_law_ratio_bounded():
         ratios.append(l1 / omega(eps))
     assert np.all(np.isfinite(ratios))
     assert max(ratios) < 50.0
+
+
+# ---------------------------------------------------------------------------
+# the L1 fit against the five-start Nelder-Mead search it replaced
+# ---------------------------------------------------------------------------
+
+
+def _multistart_minimize(objective, x0, spreads):
+    """Nelder-Mead from x0 and from x0 moved by +-spreads[k] along each axis.
+    Of the minima within rounding of the best, the one closest to x0 wins."""
+    x0 = np.asarray(x0, float)
+    starts = [x0]
+    for k in range(len(x0)):
+        for sgn in (+1.0, -1.0):
+            s = x0.copy()
+            s[k] += sgn * spreads[k]
+            starts.append(s)
+    results = []
+    for s in starts:
+        res = minimize(objective, s, method="Nelder-Mead",
+                       options=dict(xatol=1e-10, fatol=1e-14, maxiter=4000))
+        if np.all(np.isfinite(res.x)) and np.isfinite(res.fun):
+            results.append(res)
+    best_val = min(r.fun for r in results)
+    eligible = [r for r in results if r.fun <= best_val + 1e-12 * (1.0 + abs(best_val))]
+    eligible.sort(key=lambda r: float(np.linalg.norm(r.x - x0)))
+    return eligible[0]
+
+
+def fit_objective(f, m, shift, g, params):
+    """The sum pl1d._fit minimizes, at (a, b, 1/a, -b or 1/b)."""
+    a, b, a_g, b_g = params
+    l1 = pl1d._shift_l1 if shift else pl1d._scale_l1
+    dist = l1(f, m, a, b)
+    return dist if g is None else dist + l1(g, m, a_g, b_g)
+
+
+def nelder_mead_fit(f, m, shift, g=None):
+    """The fit as the package computed it before the exact amplitude (oracle):
+    Nelder-Mead over (ln a, b), or (ln a, ln b), from the moment-matched
+    start and from that start moved by +-0.5 in ln a and by +- a quarter of
+    f's grid span in b (+-0.5 in ln b)."""
+    if shift:
+        a0 = integral(f) / integral(m)
+        x0 = [math.log(max(a0, 1e-12)), mean_abscissa(m) - mean_abscissa(f)]
+        spreads = [0.5, 0.25 * (f.grid[-1] - f.grid[0])]
+
+        def params(p):
+            a = math.exp(p[0])
+            return a, float(p[1]), 1.0 / a, -float(p[1])
+    else:
+        b0 = mean_abscissa(m) / mean_abscissa(f)
+        a0 = b0 * integral(f) / integral(m)
+        x0 = [math.log(max(a0, 1e-12)), math.log(max(b0, 1e-12))]
+        spreads = [0.5, 0.5]
+
+        def params(p):
+            a, b = math.exp(p[0]), math.exp(p[1])
+            return a, b, 1.0 / a, 1.0 / b
+
+    res = _multistart_minimize(lambda p: fit_objective(f, m, shift, g, params(p)), x0, spreads)
+    return params(res.x), res.fun
+
+
+def _amplitude_sum(part, inverse, a):
+    xs, P, Q = part
+    y = np.abs(P - (Q / a if inverse else a * Q))
+    return float(np.sum(np.diff(xs) * (y[1:] + y[:-1]) / 2.0))
+
+
+def _amplitude_oracle(f_part, g_part):
+    """min over a > 0 of the sum _best_amplitude minimizes: a dense grid in
+    ln a, then a bounded search around its best point."""
+    def h(la):
+        a = math.exp(la)
+        return _amplitude_sum(f_part, False, a) + (
+            0.0 if g_part is None else _amplitude_sum(g_part, True, a))
+
+    las = np.linspace(-6.0, 6.0, 2001)
+    vals = [h(la) for la in las]
+    k = int(np.argmin(vals))
+    res = minimize_scalar(h, bounds=(las[max(k - 1, 0)], las[min(k + 1, len(las) - 1)]),
+                          method="bounded", options=dict(xatol=1e-13))
+    return min(float(res.fun), vals[k])
+
+
+def _amplitude_part(rng, n):
+    xs = np.sort(rng.uniform(-2.0, 2.0, n))
+    P, Q = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+    for arr in (P, Q):  # zeros and subnormal entries
+        arr[rng.random(n) < 0.15] = 0.0
+        arr[rng.random(n) < 0.15] = rng.uniform(1e-320, 1e-310)
+    return xs, P, Q
+
+
+def test_exact_amplitude_matches_dense_search():
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        f_part = _amplitude_part(rng, int(rng.integers(2, 60)))
+        g_part = _amplitude_part(rng, int(rng.integers(2, 60))) if trial % 2 else None
+        a, value = pl1d._best_amplitude(f_part, g_part)
+        assert 0.0 < a < math.inf
+        direct = _amplitude_sum(f_part, False, a) + (
+            0.0 if g_part is None else _amplitude_sum(g_part, True, a))
+        assert value == pytest.approx(direct, rel=1e-12, abs=1e-300)
+        assert value <= _amplitude_oracle(f_part, g_part) * (1.0 + 1e-12) + 1e-300
+
+
+def test_exact_amplitude_subnormal_divisors():
+    # M'/G overflows on a subnormal G: the term keeps its M'/a form
+    xs = np.linspace(0.0, 1.0, 5)
+    f_part = (xs, np.ones(5), np.ones(5))
+    g_part = (xs, np.array([1.0, 1e-310, 1.0, 5e-324, 1.0]), np.ones(5))
+    a, value = pl1d._best_amplitude(f_part, g_part)
+    assert math.isfinite(value) and 0.0 < a < math.inf
+    assert value <= _amplitude_oracle(f_part, g_part) * (1.0 + 1e-12)
+
+
+def test_fit_never_calls_nelder_mead(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pl1d.minimize called")
+
+    monkeypatch.setattr(pl1d, "minimize", refuse)
+    x = np.linspace(-4.0, 4.0, 101)
+    f = GridFn1D(x, np.exp(-x * x))
+    g = GridFn1D(x, np.exp(-0.5 * (x - 0.4) ** 2))
+    pl_report(f, g)
+    stability_distance(f, sup_convolution_midpoint(f, g), "shift")
+    t = np.linspace(1e-2, 8.0, 101)
+    F = GridFn1D(t, np.exp(-t), HALF_LINE)
+    G = GridFn1D(t, t * np.exp(-t), HALF_LINE)
+    pl_report(F, G, mean="geometric")
+    M = sup_convolution_midpoint(F, G, "geometric")
+    stability_distance(F, M, "scale")
+    stability_distance(F, M, "scale", constrain_equal=True)
+
+
+_CORPUS_SIZES = (51, 101, 201, 401, 801)
+
+
+def _corpus_shape(rng, kind, x):
+    lo, hi = float(x[0]), float(x[-1])
+    c = lo + (hi - lo) * rng.uniform(0.35, 0.65)
+    s = (hi - lo) * rng.uniform(0.06, 0.12)
+    if kind == "gauss":
+        v = np.exp(-0.5 * ((x - c) / s) ** 2)
+    elif kind == "laplace":  # asymmetric
+        v = np.exp(-np.where(x < c, (c - x) / s, (x - c) / (rng.uniform(0.4, 2.5) * s)))
+    else:  # bimodal
+        d = (hi - lo) * rng.uniform(0.08, 0.18)
+        v = (np.exp(-0.5 * ((x - c + d) / s) ** 2)
+             + rng.uniform(0.3, 1.0) * np.exp(-0.5 * ((x - c - d) / (0.7 * s)) ** 2))
+    return rng.uniform(0.5, 2.0) * v
+
+
+def fit_corpus(seed=0, count=100):
+    """Fixed-seed pairs for the fit: Gaussian, asymmetric Laplace and bimodal
+    f and g on 51 to 801 samples; shift form (arithmetic midpoint) and scale
+    form (geometric midpoint); joint with g, as pl_report fits, or f alone,
+    as stability_distance fits.  Half the pairs share one grid; the other
+    half give g a grid of its own, so the midpoint is resampled."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.choice(_CORPUS_SIZES))
+        shift, joint = k % 2 == 0, (k // 2) % 2 == 0
+        lo, hi = (-5.0, 5.0) if shift else (0.05, 10.0)
+        xf = np.linspace(lo, hi, n)
+        if k % 8 < 4:
+            xg = xf
+        elif shift:
+            xg = np.linspace(lo + rng.uniform(-1.0, 1.0), hi + rng.uniform(-1.0, 1.0), n)
+        else:
+            xg = np.linspace(lo * rng.uniform(0.5, 2.0), hi * rng.uniform(0.7, 1.3), n)
+        domain = WHOLE_LINE if shift else HALF_LINE
+        kf, kg = rng.choice(("gauss", "laplace", "bimodal"), size=2)
+        f = GridFn1D(xf, _corpus_shape(rng, kf, xf), domain)
+        g = GridFn1D(xg, _corpus_shape(rng, kg, xg), domain)
+        m = sup_convolution_midpoint(f, g, "arithmetic" if shift else "geometric")
+        out.append((f"{k}:{kf}/{kg}/s{n}", n, f, m, shift, g if joint else None))
+    return out
+
+
+def test_fit_corpus_against_nelder_mead():
+    beaten, worse = 0, []
+    for name, n, f, m, shift, g in fit_corpus():
+        params, l1 = pl1d._fit(f, m, shift, g)
+        assert l1 == fit_objective(f, m, shift, g, params)
+        _, nm = nelder_mead_fit(f, m, shift, g)
+        bound = 1e-6 if n >= 401 else 1e-3
+        if l1 > nm * (1.0 + bound):
+            worse.append((name, l1 / nm - 1.0))
+        beaten += l1 < nm * (1.0 - 0.01)
+    print(f"fit corpus: {beaten} of 100 pairs beat Nelder-Mead by more than 1%")
+    assert not worse, worse
 
 
 def test_pl_report_fields_and_vacuous_flag():
