@@ -622,18 +622,20 @@ def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
     )
 
 
+def _ends_closed(x, v) -> np.ndarray:
+    """The increasing grid x with a node one ulp outside each end where v is
+    positive.  A sampled function steps to 0 at a grid end where it is
+    nonzero; on these nodes, with the function 0 at the added ones, a
+    trapezoid sum keeps that step (its outer cell is one ulp wide)."""
+    lo = (math.nextafter(x[0], -math.inf),) if v[0] > 0 else ()
+    hi = (math.nextafter(x[-1], math.inf),) if v[-1] > 0 else ()
+    return np.concatenate((lo, x, hi)) if lo or hi else x
+
+
 def _axis_nodes(K) -> np.ndarray:
     if isinstance(K, Ball):
         return np.linspace(-K.radius, K.radius, DEFAULT_PROFILE_SAMPLES)
-    t = K.t
-    extra = []
-    # a positive end radius means the section power jumps to 0 at +-alpha;
-    # a node one ulp outside keeps the trapezoid sum faithful to the jump
-    if K.radius[0] > 0:
-        extra.append(np.nextafter(t[0], -np.inf))
-    if K.radius[-1] > 0:
-        extra.append(np.nextafter(t[-1], np.inf))
-    return np.concatenate([t, extra]) if extra else t
+    return _ends_closed(K.t, K.radius)
 
 
 def _section_power(K, t) -> np.ndarray:

@@ -124,19 +124,18 @@ def _cmd_scan(args, experiment: str) -> int:
     else:
         cfg = experiments.parse_config_text("", **overrides)
     result = experiments.run(cfg)
-    if experiment == "cap-scan":
-        fit, rows = result
-        print(f"rows={len(rows)} slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
-              f"r_squared={fit.r_squared:.6g}")
-    elif experiment == "bs-scan":
+    if experiment == "bs-scan":
         max_ratio, rows = result
         print(f"rows={len(rows)} max_ratio={max_ratio:.6g}")
+        return 0
+    fit, rows = result
+    if fit is None:
+        print(f"rows={len(rows)} slope=nan")
+    elif experiment == "cap-scan":
+        print(f"rows={len(rows)} slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
+              f"r_squared={fit.r_squared:.6g}")
     else:
-        fit, rows = result
-        if fit is None:
-            print(f"rows={len(rows)} slope=nan")
-        else:
-            print(f"rows={len(rows)} slope={fit.slope:.6g} r_squared={fit.r_squared:.6g}")
+        print(f"rows={len(rows)} slope={fit.slope:.6g} r_squared={fit.r_squared:.6g}")
     return 0
 
 

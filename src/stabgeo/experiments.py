@@ -80,6 +80,11 @@ def fit_exponent(points) -> FitResult:
                      tuple(zip(lx.tolist(), ly.tolist())))
 
 
+def _scan_fit(pts):
+    """The exponent fit of a scan's kept points; None for fewer than 3."""
+    return fit_exponent(pts) if len(pts) >= 3 else None
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -112,6 +117,8 @@ class ExperimentConfig:
         if len(self.grid) == 0:
             raise ConfigError("grid must be nonempty")
         g = np.asarray(self.grid, dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise ConfigError(f"grid values must be finite, got {list(self.grid)}")
         if self.experiment == "cap-scan":
             cap = _bodies.unit_ball_volume(self.dim) / 4.0
             if np.any(g <= 0) or np.any(g >= cap):
@@ -221,7 +228,7 @@ def _fmt(v) -> str:
 def run_cap_scan(cfg: ExperimentConfig):
     """Cap-cutting family: for each cap volume, the volume-product deficit
     and the Banach-Mazur distance to the ball; fits the log-log exponent of
-    delta_bm against bs_deficit.  Returns (FitResult, rows)."""
+    delta_bm against bs_deficit.  Returns (FitResult or None, rows)."""
     cfg.validate()
     if cfg.experiment != "cap-scan":
         raise ConfigError(f"run_cap_scan got experiment {cfg.experiment!r}")
@@ -233,7 +240,7 @@ def run_cap_scan(cfg: ExperimentConfig):
         delta = _polarity.bm_distance_to_ball(body)
         rows.append((float(eps_cap), res.bs_deficit, delta))
     pts = [(r[1], r[2]) for r in rows if r[1] > cfg.min_deficit and r[2] > 0]
-    fit = fit_exponent(pts)
+    fit = _scan_fit(pts)
     _write_csv(cfg.output_path, CSV_HEADERS["cap-scan"], rows)
     return fit, rows
 
@@ -314,7 +321,7 @@ def run_pl_scan(cfg: ExperimentConfig):
             rows.append((float(delta), trace.eps, trace.l1_fg, om,
                          _safe_ratio(trace.l1_fg, bound)))
     pts = [(r[1], r[2]) for r in rows if r[1] > cfg.min_deficit and r[2] > cfg.min_deficit]
-    fit = fit_exponent(pts) if len(pts) >= 3 else None
+    fit = _scan_fit(pts)
     _write_csv(cfg.output_path, CSV_HEADERS[cfg.experiment], rows)
     return fit, rows
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
-from .bodies import _trapezoid, merge_indices
+from .bodies import _ends_closed, _trapezoid, merge_indices
 from .errors import EmptyFunctionError, InvalidDataError
 
 WHOLE_LINE = "whole-line"
@@ -47,8 +47,9 @@ def _log_concave_ok(grid, values, tol=1e-7):
 class GridFn1D:
     """Nonnegative function sampled on a strictly increasing grid.
 
-    The grid bounds the support: integrals are trapezoid sums over the
-    stored grid, with the function treated as 0 outside it.
+    The grid bounds the support: the function is 0 outside it, so it steps
+    to 0 at a grid end where it is nonzero.  Integrals are trapezoid sums
+    over the stored grid, and L1 distances keep the same steps.
     """
 
     grid: np.ndarray
@@ -309,9 +310,12 @@ def exp_substitution(H: GridFn1D) -> GridFn1D:
 def _union(xa, va, xb, vb):
     """(xs, A, B): the union of the increasing grids xa and xb, with the
     piecewise-linear A (values va on xa) and B (vb on xb), both zero outside
-    their grids, interpolated onto it.  The concatenation is two sorted runs,
-    which a stable sort merges in linear time."""
-    xs = np.sort(np.concatenate((xa, xb)), kind="stable")
+    their grids, interpolated onto it.  Each grid brings a node one ulp
+    outside each nonzero end (bodies._ends_closed), so a trapezoid sum on xs
+    steps to 0 there, as the function's own integral does, whatever the
+    other grid.  The concatenation is two sorted runs, which a stable sort
+    merges in linear time."""
+    xs = np.sort(np.concatenate((_ends_closed(xa, va), _ends_closed(xb, vb))), kind="stable")
     same = xs[1:] == xs[:-1]
     if same.any():
         xs = xs[np.append(True, ~same)]
@@ -409,41 +413,27 @@ def _best_amplitude(f_part, g_part=None):
 _SCAN_POINTS = 41  # over the overlap range
 _START_POINTS = 21  # over the box around the moment-matched start
 _POLISH_POINTS = 17  # over one grid cell either side
-_POLISH_JUMPS = 16  # the jumps nearest the result
 _BRACKETS = 3
-_NUDGE = 1e-12
 
 
-def _scan_minimize(objective, qs, q0, brackets, xatol=1e-12, breaks=()):
+def _scan_minimize(objective, qs, q0, brackets, xatol=1e-12):
     """(q, objective(q)) near the minimum of objective over [qs[0], qs[-1]]:
-    objective on the increasing scan qs, then a bounded Brent search between
-    the neighbours of each of the ``brackets`` lowest local minima of that
-    scan.  At each offset in ``breaks`` the objective may jump: the scan
-    gets that offset and a point just either side of it (no further than
-    halfway to the next break), and points with a break between them are
-    not neighbours.  Of the searched minima within rounding of the best, the
-    one nearest q0 wins, so flat valleys give a deterministic answer."""
-    if len(breaks):
-        breaks = np.unique(breaks)
-        half_gap = np.diff(breaks) / 2.0
-        nudge = _NUDGE * (1.0 + np.abs(breaks))
-        qs = np.unique(np.concatenate((
-            qs, breaks, breaks - np.minimum(nudge, np.append(np.inf, half_gap)),
-            breaks + np.minimum(nudge, np.append(half_gap, np.inf)))))
-    side = np.searchsorted(breaks, qs) + np.searchsorted(breaks, qs, side="right")
+    objective on the increasing scan qs (at least two points), then a
+    bounded Brent search between the neighbours of each of the ``brackets``
+    lowest local minima of that scan.  Of the searched minima within
+    rounding of the best, the one nearest q0 wins, so flat valleys give a
+    deterministic answer."""
     vals = [objective(q) for q in qs]
     n = len(qs)
-    found, searched = [], 0
+    found = []
     for k in np.argsort(vals, kind="stable"):
-        lo = k - 1 if k > 0 and side[k - 1] == side[k] else k
-        hi = k + 1 if k < n - 1 and side[k + 1] == side[k] else k
-        if lo == hi:  # a break offset itself
-            found.append((qs[k], vals[k]))
-        elif searched < brackets and min(vals[lo], vals[hi]) >= vals[k]:
+        lo, hi = max(k - 1, 0), min(k + 1, n - 1)
+        if min(vals[lo], vals[hi]) >= vals[k]:
             res = minimize_scalar(objective, bounds=(qs[lo], qs[hi]),
                                   method="bounded", options=dict(xatol=xatol))
             found.append((res.x, res.fun))
-            searched += 1
+            if len(found) == brackets:
+                break
     best = min(v for _, v in found)
     eligible = [r for r in found if r[1] <= best + 1e-12 * (1.0 + abs(best))]
     return min(eligible, key=lambda r: abs(r[0] - q0))
@@ -477,9 +467,9 @@ def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
     the moved support of m overlaps that of f (and of g, where both can),
     more finely around the moment-matched start q0, which moves the mean of
     m onto that of f, to a quarter of a grid cell.  A second scan over one
-    grid cell either side of the result, split where the sum jumps
-    (_end_crossings), and _kink_vertex polish it.  Ties go to the offset
-    nearest q0.
+    grid cell either side of the result and _kink_vertex polish it.  Ties go
+    to the offset nearest q0.  The sum is continuous in q: _union keeps
+    every nonzero grid end a step.
     """
     log = not shift
     (f0, f1), (m0, m1) = _support_ends(f, log), _support_ends(m, log)
@@ -510,15 +500,11 @@ def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
         def moved(b):
             return m.grid / b
 
-    def parts(q):
-        _, b, _, b_g = params(1.0, q)
-        yield f, moved(b), 1
-        if g is not None:
-            yield g, moved(b_g), -1
-
     def best(q):
-        f_part, *g_part = [_union(h.grid, h.values, y, m.values) for h, y, _ in parts(q)]
-        return _best_amplitude(f_part, g_part[0] if g_part else None)
+        _, b, _, b_g = params(1.0, q)
+        f_part = _union(f.grid, f.values, moved(b), m.values)
+        g_part = None if g is None else _union(g.grid, g.values, moved(b_g), m.values)
+        return _best_amplitude(f_part, g_part)
 
     def value(q):
         return best(q)[1]
@@ -527,10 +513,8 @@ def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
                     np.linspace(max(lo, q0 - box), min(hi, q0 + box), _START_POINTS))
     q, v = _scan_minimize(value, qs, q0, _BRACKETS, cell / 4)
     # in offsets u from q, so that Brent's tolerance, relative to |u|, is fine
-    jumps = _end_crossings(list(parts(q)), m, log, best(q)[0], v) - q
-    jumps = jumps[np.argsort(np.abs(jumps), kind="stable")[:_POLISH_JUMPS]]
     u, v = _scan_minimize(lambda u: value(q + u), cell * np.linspace(-1.0, 1.0, _POLISH_POINTS),
-                          q0 - q, _BRACKETS, 1e-9 * cell, jumps[np.abs(jumps) < cell])
+                          q0 - q, _BRACKETS, 1e-9 * cell)
     q += u
     for t in (1e-8 * cell, 1e-12 * cell):  # Brent stops within t of a kink
         q, v = _kink_vertex(lambda u: value(q + u), t, v, q)
@@ -556,39 +540,16 @@ def _kink_vertex(objective, t, v, q):
     return (q + u, vu) if vu < v else (q, v)
 
 
-def _end_crossings(parts, m, log, a, value):
-    """Offsets at which the trapezoid L1 of _fit jumps.
-
-    A function that is nonzero at an end of its grid drops to 0 over the
-    union-grid cell beyond that end, so the sum jumps whenever that end
-    node meets a node of the other grid.  Ends whose jump cannot move the
-    sum by 1e-10 of ``value`` are left out.  ``parts`` holds (h, moved grid
-    of m, s), the moved nodes lying at L(m.grid) - s q, L the identity or
-    the logarithm."""
-    out = []
-    with np.errstate(divide="ignore"):
-        for h, y, s in parts:
-            x = h.grid
-            lx, lm = (np.log(x), np.log(m.grid)) if log else (x, m.grid)
-            cell = max(float(np.max(np.diff(x))), float(np.max(np.diff(y))))
-            c = a if s > 0 else 1.0 / a
-            for e in (0, -1):
-                if h.values[e] * cell > 1e-10 * value:  # h's end meets nodes of m
-                    out.append(s * (lm - lx[e]))
-                if c * m.values[e] * cell > 1e-10 * value:  # m's end meets nodes of h
-                    out.append(s * (lm[e] - lx))
-    out = np.concatenate(out) if out else np.zeros(0)
-    return out[np.isfinite(out)]
-
-
 def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=False):
     """Minimize the L1 distance between f and an adjusted copy of m.
 
     shift mode: min over (a, b) of int |f(t) - a m(t + b)| dt, a > 0.
     scale mode: min over (a, b > 0) of int |f(t) - a m(b t)| dt (half-line).
-    ``constrain_equal`` ties a = b in scale mode.
+    ``constrain_equal`` ties a = b in scale mode (ValueError in shift mode).
     Returns (a, b, l1) with the distance normalized by int m.
     """
+    if constrain_equal and mode != "scale":
+        raise ValueError(f"constrain_equal needs scale mode, not {mode!r}")
     int_f, int_m = integral(f), integral(m)
     if int_f <= 0 or int_m <= 0:
         raise EmptyFunctionError("stability distance needs positive integrals")

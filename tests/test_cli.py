@@ -198,6 +198,26 @@ def test_cli_cap_scan_and_exit_codes(tmp_path, capsys):
     assert not out2.exists()
 
 
+@pytest.mark.parametrize("experiment,value", [
+    ("cap-scan", "nan"), ("bs-scan", "nan"), ("pl-scan", "nan"), ("pln-scan", "nan"),
+    ("pl-scan", "inf"), ("pln-scan", "inf")])
+def test_cli_non_finite_grid_is_config_error(tmp_path, experiment, value, capsys):
+    out = tmp_path / "scan.csv"
+    rest = "1e-4,1e-3" if experiment == "cap-scan" else "0.1,0.2"
+    assert main([experiment, "--grid", f"{value},{rest}", "--out", str(out)]) == 1
+    assert "grid values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_cap_scan_with_two_points_writes_csv_and_prints_nan(tmp_path, capsys):
+    out_csv = tmp_path / "cap.csv"
+    code = main(["cap-scan", "--dim", "2", "--grid", "1e-4,1e-3", "--out", str(out_csv),
+                 "--profile-samples", "257"])
+    assert code == 0
+    assert "rows=2 slope=nan" in capsys.readouterr().out
+    assert len(out_csv.read_text().splitlines()) == 3
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     out_csv = tmp_path / "bs.csv"

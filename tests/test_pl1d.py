@@ -359,8 +359,11 @@ def test_substitution_equivalence():
 
 
 def _l1_between_union(xa, va, xb, vb):
-    """The union-grid L1 formula the merged kernel replaced (oracle)."""
-    xs = np.union1d(xa, xb)
+    """The union-grid L1 formula the merged kernel replaced (oracle), with a
+    node one ulp outside each grid end where the function is nonzero."""
+    ends = [np.nextafter(x[e], side) for x, v in ((xa, va), (xb, vb))
+            for e, side in ((0, -np.inf), (-1, np.inf)) if v[e] > 0]
+    xs = np.union1d(np.union1d(xa, xb), ends)
     d = np.interp(xs, xa, va, left=0.0, right=0.0) - np.interp(xs, xb, vb, left=0.0, right=0.0)
     return float(_trapz(np.abs(d), xs))
 
@@ -396,6 +399,43 @@ def test_l1_between_matches_union_oracle(pair):
     xa, va, xb, vb = pair
     assert pl1d._l1_between(xa, va, xb, vb) == _l1_between_union(xa, va, xb, vb)
     assert pl1d._l1_between(xb, vb, xa, va) == _l1_between_union(xb, vb, xa, va)
+
+
+def _laplace_and_gaussian():
+    """f: a 41-point Laplace that ends at 0.2 of its peak; m: a 31-point
+    Gaussian, on a grid of another spacing, that ends at exp(-9)."""
+    x = np.linspace(-4.0, 4.0, 41)
+    f = GridFn1D(x, np.exp(-np.abs(x) * math.log(5.0) / 4.0))
+    y = np.linspace(-3.0, 3.0, 31)
+    return f, GridFn1D(y, np.exp(-y * y))
+
+
+def test_l1_continuous_where_a_grid_end_meets_a_node():
+    # every offset at which an end of one grid meets a node of the other:
+    # the sum moves by at most its Lipschitz bound there (the variation of
+    # m, steps at its ends included), because each nonzero end is a step
+    f, m = _laplace_and_gaussian()
+    ends = [m.grid - f.grid[e] for e in (0, -1)] + [m.grid[e] - f.grid for e in (0, -1)]
+    variation = 2.0 + 2.0 * math.exp(-9.0)
+    h = 1e-9
+    for b in np.concatenate(ends):
+        jump = abs(pl1d._shift_l1(f, m, 1.0, b + h) - pl1d._shift_l1(f, m, 1.0, b - h))
+        assert jump <= 2.0 * h * variation + 1e-14, (b, jump)
+
+
+def test_l1_against_zero_is_the_integral():
+    f, _ = _laplace_and_gaussian()
+    z = np.linspace(-5.3, 6.1, 7)
+    assert pl1d._l1_between(f.grid, f.values, z, np.zeros(7)) == pytest.approx(
+        integral(f), rel=1e-14)
+    assert pl1d._l1_between(z, np.zeros(7), f.grid, f.values) == pytest.approx(
+        integral(f), rel=1e-14)
+
+
+def test_constrain_equal_needs_scale_mode():
+    m = gaussian(401)
+    with pytest.raises(ValueError, match="constrain_equal"):
+        stability_distance(m, m, "shift", constrain_equal=True)
 
 
 def test_stability_identity():
