@@ -5,18 +5,18 @@ Three interchangeable representations are used throughout the package:
 * ``Ball`` -- a Euclidean ball centred at the origin (any dimension),
 * ``ConvexPolygon`` -- a planar convex body as a counterclockwise vertex cycle,
 * ``RevolutionBody`` -- an o-symmetric convex body of revolution in n
-  dimensions, stored as the sampled radius profile of its 2-D meridian over
-  the axis interval [-alpha, alpha].
+  dimensions, stored by the vertices of the radius profile of its 2-D
+  meridian over the axis interval [-alpha, alpha].
 
-For a body of revolution the hyperplane sections orthogonal to the axis are
-(n-1)-dimensional balls, so volumes reduce to 1-D quadrature of
-``radius**(n-1)`` and support functions reduce to the 2-D meridian support.
-The meridian is itself a convex polygon, so coaxial Minkowski sums, polars
-and convex hulls are exact operations on its vertices: ``profile_sum``
-merges two profiles' edges by slope and ``upper_hull`` takes the least
-concave majorant of a point set.  ``sample_profile`` samples the results
-back onto uniform grids.  Polygon sums, profile sums and the 1-D concave
-max-plus share one merge, ``merge_indices``.
+A ``RevolutionBody`` is the solid of its piecewise-linear meridian.  Its
+hyperplane sections orthogonal to the axis are (n-1)-dimensional balls, so
+volumes and symmetric differences are exact sums of frusta, and support
+functions reduce to the 2-D meridian support.  The meridian is itself a
+convex polygon, so coaxial Minkowski sums, polars and convex hulls are exact
+operations on its vertices: ``profile_sum`` merges two profiles' edges by
+slope and ``upper_hull`` takes the least concave majorant of a point set.
+Their results are stored on their own vertices.  Polygon sums, profile sums
+and the 1-D concave max-plus share one merge, ``merge_indices``.
 All operations are pure functions of immutable inputs and are safe to share
 between concurrent tasks; Monte-Carlo estimation takes an explicit seed.
 """
@@ -169,10 +169,12 @@ def _symmetry_defect(V: np.ndarray, tol: float) -> float:
 class RevolutionBody:
     """O-symmetric convex body of revolution, stored by its meridian profile.
 
-    ``t`` is a strictly increasing axis grid spanning [-alpha, alpha] and
-    ``radius[k]`` the meridian half-width at t[k].  The profile must be even
-    and concave (up to float noise), with a contiguous positivity set: that
-    is exactly convexity plus o-symmetry of the body.
+    ``t`` is an increasing axis grid spanning [-alpha, alpha] (any spacing,
+    equal abscissae merged to the larger radius) and ``radius[k]`` the
+    meridian half-width at t[k]; the body is the solid of the piecewise-
+    linear profile.  The profile must be even and concave (no vertex more
+    than 2e-9 max|r| below its neighbours' chord), with a contiguous
+    positivity set: that is exactly convexity plus o-symmetry of the body.
     """
 
     dim: int
@@ -184,10 +186,17 @@ class RevolutionBody:
         r = np.asarray(self.radius, dtype=float)
         if self.dim < 2:
             raise DegenerateBodyError(f"revolution body needs dim >= 2, got {self.dim}")
-        if t.ndim != 1 or t.shape != r.shape or len(t) < 3:
-            raise DegenerateBodyError("profile needs matching 1-D grids of length >= 3")
-        if np.any(np.diff(t) <= 0):
-            raise DegenerateBodyError("axis grid must be strictly increasing")
+        if t.ndim != 1 or t.shape != r.shape:
+            raise DegenerateBodyError("profile needs matching 1-D grids")
+        dt = np.diff(t)
+        if np.any(dt < 0):
+            raise DegenerateBodyError("axis grid must be increasing")
+        if np.any(dt == 0):
+            first = np.flatnonzero(np.append(True, dt > 0))
+            t, r = t[first], np.maximum.reduceat(r, first)
+            dt = np.diff(t)
+        if len(t) < 2:
+            raise DegenerateBodyError("profile needs at least 2 distinct abscissae")
         scale = float(np.max(np.abs(r)))
         if not np.all(np.isfinite(r)) or scale <= 0:
             raise DegenerateBodyError("profile must be finite with nonempty interior")
@@ -200,14 +209,12 @@ class RevolutionBody:
         mirrored = np.interp(-t, t, r)
         if np.max(np.abs(mirrored - r)) > 1e-7 * scale:
             raise DegenerateBodyError("profile is not even (body not o-symmetric)")
-        pos = np.flatnonzero(r > 1e-12 * scale)
-        if len(pos) == 0:
-            raise DegenerateBodyError("profile has empty interior")
+        pos = np.flatnonzero(r > 1e-12 * scale)  # nonempty: max|r| is a radius
         if np.any(r[pos[0]:pos[-1] + 1] <= 1e-12 * scale):
             raise DegenerateBodyError("profile has interior zeros; body must be connected")
-        slopes = np.diff(r) / np.diff(t)
-        h = float(np.mean(np.diff(t)))
-        if np.max(np.diff(slopes) * h, initial=0.0) > 1e-9 * scale * 4.0:
+        # height of each inner vertex below the chord through its neighbours
+        dip = np.diff(np.diff(r) / dt) * (dt[:-1] * dt[1:] / (dt[:-1] + dt[1:]))
+        if np.max(dip, initial=0.0) > 2e-9 * scale:
             raise DegenerateBodyError("profile is not concave within tolerance")
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "radius", _readonly(r))
@@ -246,10 +253,12 @@ def revolution_from_function(dim, profile_fn, alpha, samples=DEFAULT_PROFILE_SAM
     float noise cannot trip the concavity invariant.
     """
     t = np.linspace(-alpha, alpha, samples)
-    r = np.maximum(np.asarray(profile_fn(t), dtype=float), 0.0)
-    r = 0.5 * (r + r[::-1])
-    r = concave_majorant(t, r)
-    return RevolutionBody(dim, t, r)
+    return _even_concave_body(dim, t, np.maximum(np.asarray(profile_fn(t), dtype=float), 0.0))
+
+
+def _even_concave_body(dim, t, r):
+    """Samples r >= 0 on a symmetric grid t, made even, then concave."""
+    return RevolutionBody(dim, t, concave_majorant(t, 0.5 * (r + r[::-1])))
 
 
 def revolution_ball(dim, radius=1.0, samples=DEFAULT_PROFILE_SAMPLES):
@@ -313,11 +322,8 @@ def random_revolution_body(dim, rng, samples=DEFAULT_PROFILE_SAMPLES, amplitude=
             c = height * float(rng.uniform(0.7, 1.6))
             cand = c * (1.0 - np.abs(t) / b)
         rough = np.minimum(rough, cand)
-    rough = np.maximum(rough, 0.0)
-    r = (1.0 - amplitude) * base + amplitude * rough
-    r = 0.5 * (r + r[::-1])
-    r = concave_majorant(t, r)
-    return RevolutionBody(dim, t, r)
+    r = (1.0 - amplitude) * base + amplitude * np.maximum(rough, 0.0)
+    return _even_concave_body(dim, t, r)
 
 
 def random_o_symmetric_polygon(rng) -> ConvexPolygon:
@@ -386,12 +392,23 @@ def volume(K: BodyRef) -> float:
             raise DegenerateBodyError("polygon area is not positive")
         return a
     if isinstance(K, RevolutionBody):
-        n = K.dim
-        v = unit_ball_volume(n - 1) * float(_trapezoid(K.radius ** (n - 1), K.t))
+        n, r = K.dim, K.radius
+        v = unit_ball_volume(n - 1) * float(np.dot(np.diff(K.t), _power_sums(r[:-1], r[1:], n))) / n
         if v <= 0:
             raise DegenerateBodyError("revolution body has zero volume")
         return v
     raise UnsupportedCombinationError(f"volume: unsupported body {type(K).__name__}")
+
+
+def _power_sums(a, b, n) -> np.ndarray:
+    """sum_{k<n} a^k b^(n-1-k), elementwise: int r^(n-1) over a cell of
+    width h where r runs linearly from a to b is h/n times it.  Every term
+    is nonnegative, so nearly equal ends need no special case."""
+    s, p = a + b, a
+    for _ in range(n - 2):
+        p = p * a
+        s = s * b + p
+    return s
 
 
 def support_function(K: BodyRef, w) -> float:
@@ -502,21 +519,12 @@ def profile_sum(K: RevolutionBody, C: RevolutionBody):
     return K.t[i] + C.t[j], K.radius[i] + C.radius[j]
 
 
-def sample_profile(dim, t, r, alpha, samples) -> RevolutionBody:
-    """The body of revolution whose meridian has the upper vertices (t, r),
-    sampled on the uniform grid of ``samples`` points over [-alpha, alpha]
-    and made exactly even."""
-    grid = np.linspace(-alpha, alpha, samples)
-    phi = np.interp(grid, t, r)
-    return RevolutionBody(dim, grid, 0.5 * (phi + phi[::-1]))
-
-
 def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
     """(K + C)/2.
 
     Coaxial revolution bodies are summed exactly by ``profile_sum`` and the
-    halved profile is sampled back on a uniform grid as fine as the finer
-    operand; polygons use the exact edge-merge sum.  Balls are exact.
+    midpoint is stored on the halved vertices; polygons use the exact
+    edge-merge sum.  Balls are exact; one paired with a profile is sampled.
     """
     if isinstance(K, Ball) and isinstance(C, Ball):
         if K.dim != C.dim:
@@ -527,12 +535,8 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
     if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
         if K.dim != C.dim:
             raise UnsupportedCombinationError("midpoint of bodies of different dimension")
-        m = max(len(B.t) if isinstance(B, RevolutionBody) else DEFAULT_PROFILE_SAMPLES
-                for B in (K, C))
-        Kr = as_revolution(K, m)
-        Cr = as_revolution(C, m)
-        ts, rs = profile_sum(Kr, Cr)
-        return sample_profile(Kr.dim, 0.5 * ts, 0.5 * rs, 0.5 * (Kr.alpha + Cr.alpha), m)
+        ts, rs = profile_sum(as_revolution(K), as_revolution(C))
+        return RevolutionBody(K.dim, 0.5 * ts, 0.5 * rs)
     raise UnsupportedCombinationError(
         f"midpoint of {type(K).__name__} and {type(C).__name__} is not supported"
     )
@@ -604,8 +608,10 @@ def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
     """|K delta C| for same-representation bodies.
 
     Coaxial revolution bodies have concentric, hence nested, sections, so
-    the symmetric difference is a 1-D quadrature of |r1^(n-1) - r2^(n-1)|;
-    polygons use |K| + |C| - 2|K inter C| with convex clipping.
+    each cell of their union grid, split where r1 - r2 changes sign, adds
+    the difference of two exact frustum sums.  A Ball paired with a profile
+    is sampled by ``as_revolution``.  Polygons use |K| + |C| - 2|K inter C|
+    with convex clipping.
     """
     if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
         return polygon_symmetric_difference(K.vertices, C.vertices)
@@ -613,10 +619,25 @@ def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
         if K.dim != C.dim:
             raise UnsupportedCombinationError("symmetric difference across dimensions")
         n = K.dim
-        t = np.union1d(_axis_nodes(K), _axis_nodes(C))
-        f1 = _section_power(K, t)
-        f2 = _section_power(C, t)
-        return unit_ball_volume(n - 1) * float(_trapezoid(np.abs(f1 - f2), t))
+        if isinstance(K, Ball) and isinstance(C, Ball):
+            return unit_ball_volume(n) * abs(K.radius ** n - C.radius ** n)
+        K, C = as_revolution(K), as_revolution(C)
+        # a node both grids share adds a cell of width 0
+        t = np.sort(np.concatenate((_ends_closed(K.t, K.radius), _ends_closed(C.t, C.radius))))
+        r1, r2 = K.radius_at(t), C.radius_at(t)
+        h, d = t[1:] - t[:-1], r1 - r2
+        g = _power_sums(r1[:-1], r1[1:], n) - _power_sums(r2[:-1], r2[1:], n)
+        total = float(np.dot(h, np.abs(g)))
+        for j in np.flatnonzero(d[:-1] * d[1:] < 0.0).tolist():
+            # r1 - r2 changes sign in cell j, so the parts of its signed
+            # integral h g on either side of the crossing c have opposite
+            # signs: the cell adds |left - right| = |2 left - h g|
+            lam = float(d[j] / (d[j] - d[j + 1]))
+            a1, a2, cell = float(r1[j]), float(r2[j]), float(h[j] * g[j])
+            c = a1 + lam * (float(r1[j + 1]) - a1)
+            left = lam * float(h[j]) * (_power_sums(a1, c, n) - _power_sums(a2, c, n))
+            total += abs(2.0 * left - cell) - abs(cell)
+        return unit_ball_volume(n - 1) * total / n
     raise UnsupportedCombinationError(
         f"symmetric difference of {type(K).__name__} and {type(C).__name__}"
     )
@@ -625,27 +646,11 @@ def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
 def _ends_closed(x, v) -> np.ndarray:
     """The increasing grid x with a node one ulp outside each end where v is
     positive.  A sampled function steps to 0 at a grid end where it is
-    nonzero; on these nodes, with the function 0 at the added ones, a
-    trapezoid sum keeps that step (its outer cell is one ulp wide)."""
+    nonzero; with the function 0 at the added nodes, its linear interpolant
+    on these nodes keeps that step (its outer cell is one ulp wide)."""
     lo = (math.nextafter(x[0], -math.inf),) if v[0] > 0 else ()
     hi = (math.nextafter(x[-1], math.inf),) if v[-1] > 0 else ()
     return np.concatenate((lo, x, hi)) if lo or hi else x
-
-
-def _axis_nodes(K) -> np.ndarray:
-    if isinstance(K, Ball):
-        return np.linspace(-K.radius, K.radius, DEFAULT_PROFILE_SAMPLES)
-    return _ends_closed(K.t, K.radius)
-
-
-def _section_power(K, t) -> np.ndarray:
-    """radius^(n-1) at axis coordinates t: analytic for balls, linear
-    interpolation of the stored power for profiles (so refining the
-    quadrature grid leaves the trapezoid sum unchanged)."""
-    n = K.dim
-    if isinstance(K, Ball):
-        return np.maximum(K.radius ** 2 - t * t, 0.0) ** ((n - 1) / 2.0)
-    return np.interp(t, K.t, K.radius ** (n - 1), left=0.0, right=0.0)
 
 
 def contains_points(K: BodyRef, pts: np.ndarray) -> np.ndarray:

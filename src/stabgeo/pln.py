@@ -218,15 +218,13 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
     lookup of u^2 / f_i in the g heights.  The hull is exact on meridian
     profiles: the upper hull of the halved ``profile_sum`` vertices of the
     kept pairs and of the previous (higher) level's hull, which keeps the
-    levels nested.  Each level is sampled on a uniform grid as fine as the
-    finest input body.
+    levels nested.  Each level body is stored on the vertices of its hull.
     """
     if f.dim != g.dim:
         raise UnsupportedCombinationError("midpoint stack across dimensions")
     if f.levels[0] * g.levels[0] <= 0:
         raise EmptyFunctionError("empty level ranges")
     dim = f.dim
-    m = max(len(b.t) for b in f.bodies + g.bodies)
     u = np.geomspace(math.sqrt(f.levels[0] * g.levels[0]),
                      math.sqrt(f.levels[-1] * g.levels[-1]),
                      max(len(f.levels), len(g.levels)))
@@ -247,7 +245,7 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
             np.concatenate([0.5 * ts for ts, _ in sums] + [hull[0]]),
             np.concatenate([0.5 * rs for _, rs in sums] + [hull[1]]),
         )
-        out_bodies.append(_bodies.sample_profile(dim, *hull, hull[0][-1], m))
+        out_bodies.append(RevolutionBody(dim, *hull))
     return LevelStack(dim, u, tuple(out_bodies))
 
 
@@ -344,6 +342,9 @@ def _pair_l1(A: LevelStack, B: LevelStack) -> float:
 
 
 def _sectioncap_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
+    """Largest height of min(f, g level profiles) above the m profile over
+    the shorter axis extent, or 0: exact at the vertices, the f-g crossings
+    and the ends, as all three profiles are piecewise linear."""
     worst = 0.0
     for t_j, om in zip(m.levels, m.bodies):
         bf = f.body_at(t_j)
@@ -351,7 +352,12 @@ def _sectioncap_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
         if bf is None or bg is None:
             continue
         a_cap = min(bf.alpha, bg.alpha)
-        t = np.linspace(-a_cap, a_cap, len(om.t))
+        t = np.union1d(bf.t, bg.t)
+        d = bf.radius_at(t) - bg.radius_at(t)
+        k = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+        t = np.concatenate((t, t[k] + d[k] / (d[k] - d[k + 1]) * (t[k + 1] - t[k]),
+                            om.t, [-a_cap, a_cap]))
+        t = t[np.abs(t) <= a_cap]
         cap = np.minimum(bf.radius_at(t), bg.radius_at(t))
         worst = max(worst, float(np.max(cap - om.radius_at(t))))
     return worst

@@ -21,7 +21,7 @@ import numpy as np
 # because perfbench's tracer patches polarity.minimize and its tests
 # require every traced name to exist
 from scipy.optimize import minimize, minimize_scalar  # noqa: F401
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from . import bodies
 from .bodies import (
@@ -46,8 +46,9 @@ class SantaloResult:
     """Volume-product optimum of a body.
 
     ``bs_deficit`` is the smallest eps with (1 + eps) |K| |K^z| >= kappa_n^2,
-    i.e. eps = kappa_n^2 / (|K| |K^z|) - 1; it is nonnegative up to
-    quadrature noise and zero exactly for ellipsoids.
+    i.e. eps = kappa_n^2 / (|K| |K^z|) - 1; both volumes are exact for the
+    stored bodies, so it is nonnegative up to rounding at every resolution,
+    and zero exactly for ellipsoids.
     """
 
     point: np.ndarray
@@ -91,16 +92,22 @@ def polar(K: BodyRef, z=None) -> BodyRef:
                 "polar of a revolution body is only supported about the origin"
             )
         # each upper meridian edge lies on a line <a, x> = 1 whose dual a is
-        # a polar vertex; vertical end edges t = t_end give (1/t_end, 0)
+        # a polar vertex, the vertical end edge t = alpha gives (1/alpha, 0).
+        # The right half of the polar comes from the edges right of the axis
+        # and the one across it, whose dual is the top vertex (its s is
+        # clamped at 0 against rounding); the hull of these duals puts them
+        # in order, and mirroring it makes the polar exactly even
         t, r = bodies.upper_hull(K.t, K.radius)
-        cross = t[:-1] * r[1:] - t[1:] * r[:-1]
-        s_v = np.diff(r) / cross
-        psi_v = -np.diff(t) / cross
-        if r[0] > 0:
-            s_v, psi_v = np.append(1.0 / t[0], s_v), np.append(0.0, psi_v)
+        i = int(np.searchsorted(t, 0.0, side="right")) - 1
+        dt, dr = np.diff(t[i:]), np.diff(r[i:])
+        cross = t[i:-1] * dr - r[i:-1] * dt  # accurate for short edges too
+        s, psi = np.maximum(dr / cross, 0.0), -dt / cross
         if r[-1] > 0:
-            s_v, psi_v = np.append(s_v, 1.0 / t[-1]), np.append(psi_v, 0.0)
-        return bodies.sample_profile(K.dim, s_v, psi_v, 1.0 / K.alpha, len(K.t))
+            s, psi = np.append(s, 1.0 / t[-1]), np.append(psi, 0.0)
+        s, psi = bodies.upper_hull(s, psi)
+        left = s[::-1] > 0.0
+        return RevolutionBody(K.dim, np.concatenate((-s[::-1][left], s)),
+                              np.concatenate((psi[::-1][left], psi)))
     if isinstance(K, ConvexPolygon):
         z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
         return ConvexPolygon(_polar_vertices(K.vertices, z) + z)
@@ -241,36 +248,26 @@ def bm_distance_to_ball(K: BodyRef) -> float:
     scaling).  For o-symmetric bodies the sandwiching is centred at o, so
     the distance is the log circum/in-radius ratio of the transformed
     meridian polygon; after scale normalization one parameter u remains,
-    the map (t, r) -> (t e^-u, r e^u).  It has determinant 1, so each
-    meridian edge keeps its cross product c, and on the upper-hull vertices
-    (t_k, r_k) and edges (dt_j, dr_j, c_j)
+    the map (t, r) -> (t e^-u, r e^u).  The inradius about o is 1 over the
+    circumradius of the polar, whose vertices (s, psi) map to
+    (s e^u, psi e^-u), so on the vertices of K and of its polar
 
         R(u)^2   = max_k  t_k^2 e^-2u + r_k^2 e^2u
-        1/r(u)^2 = max_j (dt_j^2 e^-2u + dr_j^2 e^2u) / c_j^2
+        1/r(u)^2 = max_j  s_j^2 e^2u + psi_j^2 e^-2u
 
-    (the polygon is convex and contains o, so its inradius about o is the
-    distance to the nearest edge line).  Both are maxima of log-convex
-    terms, so ln(R/r) is convex in u and one bounded scalar search finds
-    its global minimum.
+    Both are maxima of log-convex terms, so ln(R/r) is convex in u and one
+    bounded scalar search finds its global minimum.
     """
     if isinstance(K, Ball):
         return 0.0
     if not isinstance(K, RevolutionBody):
         raise UnsupportedCombinationError("bm_distance_to_ball needs a body of revolution")
-    t, r = bodies.upper_hull(K.t, K.radius)
-    dt, dr = np.diff(t), np.diff(r)
-    c2 = (t[:-1] * r[1:] - t[1:] * r[:-1]) ** 2
-    # the vertical end edges t = +-alpha (distance alpha e^-u); when r_end = 0
-    # the term is the distance to a boundary point, which never sets the max
-    edge_a = np.append(dt * dt / c2, 0.0)
-    edge_b = np.append(dr * dr / c2, 1.0 / (K.alpha * K.alpha))
-    t2, r2 = t * t, r * r
+    P = polar(K)
+    t2, r2, s2, psi2 = K.t * K.t, K.radius * K.radius, P.t * P.t, P.radius * P.radius
 
     def ratio(u):
         w = math.exp(2.0 * u)
-        out2 = np.max(t2 / w + r2 * w)
-        inv_in2 = np.max(edge_a / w + edge_b * w)
-        return 0.5 * math.log(out2 * inv_in2)
+        return 0.5 * math.log(np.max(t2 / w + r2 * w) * np.max(s2 * w + psi2 / w))
 
     span = math.log(K.dim) + 1.5
     res = minimize_scalar(ratio, bounds=(-span, span), method="bounded",
@@ -285,35 +282,27 @@ def bm_distance_to_ball(K: BodyRef) -> float:
 
 def spherical_cap_volume(n: int, h: float) -> float:
     """Volume of the cap of the unit n-ball of height h (0 <= h <= 1),
-    kappa_{n-1} * int_{1-h}^{1} (1 - t^2)^((n-1)/2) dt, in closed form via
-    the regularized incomplete beta function."""
+    kappa_{n-1} * int_{1-h}^{1} (1 - t^2)^((n-1)/2) dt.  That is half the
+    ball times the regularized incomplete beta function I_{h(2-h)}(p, 1/2),
+    p = (n + 1)/2, which equals 1 - I_{(1-h)^2}(1/2, p) but does not cancel
+    for thin caps."""
     if not 0.0 <= h <= 1.0:
         raise ValueError("cap height must lie in [0, 1]")
-    p = (n + 1) / 2.0
-    x = 1.0 - h
-    half_beta = 0.5 * math.exp(math.lgamma(0.5) + math.lgamma(p) - math.lgamma(0.5 + p))
-    integral = half_beta * (1.0 - betainc(0.5, p, x * x))
-    return unit_ball_volume(n - 1) * integral
+    return 0.5 * unit_ball_volume(n) * float(betainc((n + 1) / 2.0, 0.5, h * (2.0 - h)))
 
 
 def cap_cut_body(n: int, eps: float,
                  samples=bodies.DEFAULT_PROFILE_SAMPLES) -> RevolutionBody:
     """Unit ball with two opposite caps of volume eps removed:
-    B^n intersected with {|<x, u>| <= 1 - h}, h solving cap volume = eps."""
+    B^n intersected with {|<x, u>| <= 1 - h}, h solving cap volume = eps by
+    inverting the incomplete beta function of ``spherical_cap_volume`` for
+    x = h(2-h), then h = x / (1 + sqrt(1 - x))."""
     if eps < 0:
         raise ValueError("cap volume must be nonnegative")
     if eps >= unit_ball_volume(n) / 2.0:
         raise DegenerateBodyError("cap volume this large degenerates the body")
-    if eps == 0.0:
-        return bodies.revolution_ball(n, 1.0, samples)
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if spherical_cap_volume(n, mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-    h = 0.5 * (lo + hi)
+    x = float(betaincinv((n + 1) / 2.0, 0.5, 2.0 * eps / unit_ball_volume(n)))
+    h = x / (1.0 + math.sqrt(1.0 - x))
     return bodies.revolution_from_function(
         n, lambda u: np.sqrt(np.maximum(1.0 - u * u, 0.0)), 1.0 - h, samples
     )

@@ -63,7 +63,7 @@ def test_volume_ball_profile():
 
 
 def test_volume_cylinder_exact_quadrature():
-    # constant integrand: the trapezoid sum is exact, kappa_2 * 2 = 2 pi
+    # constant profile: kappa_2 * 2 = 2 pi
     c = revolution_cylinder(3, 1.0, 1.0, samples=2001)
     assert volume(c) == pytest.approx(TWO_PI, abs=1e-9)
 
@@ -83,6 +83,61 @@ def test_interior_zero_profile_rejected():
     r = np.maximum(np.abs(t) - 0.5, 0.0)  # two lobes, zero in the middle
     with pytest.raises(DegenerateBodyError):
         RevolutionBody(3, t, r)
+
+
+@pytest.mark.parametrize("samples", [3, 9, 129, 2049])
+def test_volume_double_cone_is_exact(samples):
+    # two cones of height 1 over the unit disk: 2 pi / 3 at every resolution
+    t = np.linspace(-1.0, 1.0, samples)
+    assert volume(RevolutionBody(3, t, 1.0 - np.abs(t))) == pytest.approx(
+        2.0 * math.pi / 3.0, rel=1e-14)
+    # a cone over the unit 4-ball section: 2 kappa_4 / 5
+    assert volume(RevolutionBody(5, t, 1.0 - np.abs(t))) == pytest.approx(
+        2.0 * unit_ball_volume(4) / 5.0, rel=1e-14)
+
+
+def test_volume_frustum_sum_on_a_non_uniform_grid():
+    # frusta pi h (a^2 + a b + b^2) / 3 on cells of widths 0.5, 1, 0.5
+    t = np.array([-1.0, -0.5, 0.5, 1.0])
+    r = np.array([0.5, 1.0, 1.0, 0.5])
+    expect = math.pi * (2.0 * 0.5 * (0.25 + 0.5 + 1.0) / 3.0 + 1.0)
+    assert volume(RevolutionBody(3, t, r)) == pytest.approx(expect, rel=1e-14)
+
+
+def test_two_vertex_cylinder_is_accepted():
+    K = RevolutionBody(4, np.array([-1.5, 1.5]), np.array([0.5, 0.5]))
+    assert volume(K) == pytest.approx(3.0 * unit_ball_volume(3) * 0.125, rel=1e-14)
+
+
+def test_concavity_is_judged_per_vertex():
+    # a concave profile with cells of 1e-12 at t = +-0.5: rounding tilts
+    # their slopes by about 1e-4, but each vertex stays within rounding of
+    # the chord through its neighbours (a mean-step rule rejected this)
+    x = 0.5 + 1e-12 * np.arange(-3, 4)
+    t = np.concatenate([[-1.0], -x[::-1], [0.0], x, [1.0]])
+    RevolutionBody(3, t, np.sqrt(1.0 - t * t))
+    # vertices 0.67e-7 below their chords, on cells of 0.5 among 2000
+    # cells of 1e-6: the dip is rejected although the mean cell is short
+    fine = np.linspace(0.999, 1.0, 1001)
+    t = np.concatenate([-fine[::-1], [-0.5, 0.5], fine])
+    r = np.ones_like(t)
+    r[[1001, 1002]] = 1.0 - 1e-7
+    with pytest.raises(DegenerateBodyError, match="concave"):
+        RevolutionBody(3, t, r)
+    # uniform grids keep the bound: a dip of 1.5e-9 passes, 2.5e-9 does not
+    t = np.linspace(-1.0, 1.0, 5)
+    RevolutionBody(3, t, np.array([1.0, 1.0, 1.0 - 1.5e-9, 1.0, 1.0]))
+    with pytest.raises(DegenerateBodyError, match="concave"):
+        RevolutionBody(3, t, np.array([1.0, 1.0, 1.0 - 2.5e-9, 1.0, 1.0]))
+
+
+def test_equal_abscissae_keep_the_larger_radius():
+    K = RevolutionBody(3, np.array([-1.0, -1.0, 0.0, 1.0, 1.0]),
+                       np.array([0.0, 0.5, 1.0, 0.5, 0.2]))
+    assert K.t.tolist() == [-1.0, 0.0, 1.0]
+    assert K.radius.tolist() == [0.5, 1.0, 0.5]
+    with pytest.raises(DegenerateBodyError, match="increasing"):
+        RevolutionBody(3, np.array([-1.0, 0.5, 0.0, 1.0]), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +402,33 @@ def test_nestedness():
         C = bodies.scale(K, 1.3)
         got = symmetric_difference_volume(K, C)
         assert got == pytest.approx(volume(C) - volume(K), rel=1e-9)
+
+
+def test_symmetric_difference_splits_crossing_cells():
+    # the cone 1 - |t| (3 vertices) against the cylinder of radius 1/2 (2
+    # vertices): the profiles cross at t = +-1/2, inside cells of both, and
+    # |K delta C| = 2 pi int_0^1 |u^2 - 1/4| du = pi / 2 in 3-D, while in 2-D
+    # it is 2 * 2 int_0^1 |u - 1/2| du = 1
+    t = np.array([-1.0, 0.0, 1.0])
+    for n, expect in ((3, math.pi / 2.0), (2, 1.0)):
+        K = RevolutionBody(n, t, 1.0 - np.abs(t))
+        C = RevolutionBody(n, np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        assert symmetric_difference_volume(K, C) == pytest.approx(expect, rel=1e-14)
+        assert symmetric_difference_volume(C, K) == pytest.approx(expect, rel=1e-14)
+
+
+def test_symmetric_difference_matches_a_fine_oracle():
+    # random pairs on unrelated grids against a midpoint sum of
+    # |r1^(n-1) - r2^(n-1)| on 2 * 10^5 cells that end at every vertex
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 5):
+        K = bodies.random_revolution_body(n, rng, samples=int(rng.integers(3, 40)))
+        C = bodies.random_revolution_body(n, rng, samples=int(rng.integers(3, 40)))
+        x = np.union1d(np.linspace(-2.0, 2.0, 200_001), np.concatenate([K.t, C.t]))
+        mid = 0.5 * (x[1:] + x[:-1])
+        f = np.abs(K.radius_at(mid) ** (n - 1) - C.radius_at(mid) ** (n - 1))
+        oracle = unit_ball_volume(n - 1) * float(np.dot(np.diff(x), f))
+        assert symmetric_difference_volume(K, C) == pytest.approx(oracle, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

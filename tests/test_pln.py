@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stabgeo import bodies
+from stabgeo import bodies, pln
 from stabgeo.bodies import revolution_ball
 from stabgeo.errors import EmptyFunctionError, NormalizationError
 from stabgeo.pln import (
@@ -22,6 +22,13 @@ from stabgeo.pln import (
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 KAPPA_3 = 4.0 * math.pi / 3.0
+
+
+def frustum_volume_3d(body):
+    """Oracle: the solid of a piecewise-linear 3-D meridian is a stack of
+    frusta, each of volume pi h (a^2 + a b + b^2) / 3."""
+    h, a, b = np.diff(body.t), body.radius[:-1], body.radius[1:]
+    return float(np.sum(math.pi * h * (a * a + a * b + b * b) / 3.0))
 
 
 def ball_stack(levels_and_radii, dim=3, samples=257):
@@ -53,7 +60,7 @@ def test_stack_nesting_check_is_exact():
     for reach, nested in ((1.0 + 1e-4, False), (1.0 - 1e-4, True)):
         t, r = bodies.upper_hull(np.append(inner.t, reach * math.cos(phi) * np.array([-1.0, 1.0])),
                                  np.append(inner.radius, [reach * math.sin(phi)] * 2))
-        spiked = bodies.sample_profile(3, t, r, 0.9, 2049)
+        spiked = bodies.RevolutionBody(3, t, r)
         if nested:
             LevelStack(3, np.array([2.0, 1.0]), (spiked, outer))
         else:
@@ -84,13 +91,14 @@ def test_body_index_at_takes_arrays():
 
 def test_stack_integral_indicator():
     st = ball_stack([(1.0, 1.0)], samples=2049)
-    assert stack_integral(st) == pytest.approx(KAPPA_3, rel=1e-6)
+    assert stack_integral(st) == pytest.approx(frustum_volume_3d(st.bodies[0]), rel=1e-6)
 
 
 def test_stack_integral_two_levels():
-    # layer-cake sum: 1 * kappa/8 + 1 * kappa = 9 kappa / 8
+    # layer-cake sum: 1 * |B(0.5)| + 1 * |B(1)|, about 9 kappa / 8
     st = ball_stack([(2.0, 0.5), (1.0, 1.0)], samples=2049)
-    assert stack_integral(st) == pytest.approx(9.0 * KAPPA_3 / 8.0, rel=1e-6)
+    exact = sum(frustum_volume_3d(b) for b in st.bodies)
+    assert stack_integral(st) == pytest.approx(exact, rel=1e-6)
 
 
 def test_stack_integral_gaussian():
@@ -116,15 +124,16 @@ def test_stack_integral_gaussian():
 
 
 def test_section_profile_indicator():
-    # indicator of the unit ball: F = kappa_3 on (0, 1]
+    # indicator of the unit ball: F = |B| (about kappa_3) on (0, 1]
     st = ball_stack([(1.0, 1.0), (0.5, 1.0)], samples=2049)
     F = section_profile(st)
     assert F.domain == "half-line"
-    assert np.allclose(F.values, KAPPA_3, rtol=1e-6)
+    assert np.allclose(F.values, frustum_volume_3d(st.bodies[0]), rtol=1e-6)
 
 
 def test_section_profile_gaussian_closed_form():
-    # exact level-set sampling: F(t) = kappa_3 (ln(1/t))^(3/2)
+    # exact level-set sampling: F(t) = |{f >= t}|, the volume of the
+    # inscribed ball of radius (ln(1/t))^(1/2)
     levels = np.geomspace(0.9, 1e-5, 48)
 
     def body_fn(s):
@@ -132,7 +141,7 @@ def test_section_profile_gaussian_closed_form():
 
     st = LevelStack(3, levels, tuple(body_fn(s) for s in levels))
     F = section_profile(st)
-    expect = KAPPA_3 * np.log(1.0 / F.grid) ** 1.5
+    expect = np.array([frustum_volume_3d(b) for b in st.bodies[::-1]])
     assert float(np.max(np.abs(F.values - expect) / expect)) <= 1e-5
 
 
@@ -193,19 +202,15 @@ def test_minimal_midpoint_deficit_direction():
 
 def _all_pairs_midpoint_levels(f, g, levels):
     """Oracle: each level at u is the hull of the halved sums of every pair
-    (i, j) with f_i g_j >= u^2, with no pruning, sampled like the builder."""
-    m = max(len(b.t) for b in f.bodies + g.bodies)
+    (i, j) with f_i g_j >= u^2, with no pruning."""
     out = []
     for u in levels:
         sums = [bodies.profile_sum(bf, bg)
                 for fi, bf in zip(f.levels, f.bodies)
                 for gj, bg in zip(g.levels, g.bodies)
                 if fi * gj >= u * u * (1.0 - 1e-9)]
-        ht, hr = bodies.upper_hull(np.concatenate([0.5 * ts for ts, _ in sums]),
-                                   np.concatenate([0.5 * rs for _, rs in sums]))
-        t = np.linspace(-ht[-1], ht[-1], m)
-        phi = np.interp(t, ht, hr)
-        out.append((t, 0.5 * (phi + phi[::-1])))
+        out.append(bodies.upper_hull(np.concatenate([0.5 * ts for ts, _ in sums]),
+                                     np.concatenate([0.5 * rs for _, rs in sums])))
     return out
 
 
@@ -225,8 +230,27 @@ def test_minimal_midpoint_matches_all_pairs_oracle(shape):
     assert np.allclose(m.levels, u, rtol=1e-14, atol=0.0)
     for body, (t, r) in zip(m.bodies, _all_pairs_midpoint_levels(f, g, m.levels)):
         scale = float(np.max(r))
-        assert float(np.max(np.abs(body.t - t))) <= 1e-12 * t[-1]
-        assert float(np.max(np.abs(body.radius - r))) <= 1e-12 * scale
+        assert abs(body.t[0] - t[0]) <= 1e-12 * t[-1]
+        assert abs(body.t[-1] - t[-1]) <= 1e-12 * t[-1]
+        # both profiles are piecewise linear: compare them at every vertex
+        x = np.union1d(body.t, t)
+        assert float(np.max(np.abs(body.radius_at(x) - np.interp(x, t, r)))) <= 1e-12 * scale
+
+
+def test_sectioncap_margin_is_exact_between_vertices():
+    # min(f-body, g-body) - m-body peaks at 0.3 where the cone 1 - |t| meets
+    # the cylinder of radius 0.6, at t = +-0.4, a vertex of neither profile
+    one = np.array([1.0])
+
+    def stack(t, r):
+        return LevelStack(3, one, (bodies.RevolutionBody(3, np.array(t), np.array(r)),))
+
+    cone = stack([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
+    cylinder = stack([-1.0, 1.0], [0.6, 0.6])
+    m = stack([-0.8, 0.0, 0.8], [0.0, 0.6, 0.0])
+    assert pln._sectioncap_margin(cone, cylinder, m) == pytest.approx(0.3, rel=1e-14)
+    assert pln._sectioncap_margin(cylinder, cone, m) == pytest.approx(0.3, rel=1e-14)
+    assert pln._sectioncap_margin(cone, cylinder, cone) == 0.0
 
 
 def test_containment_margin_small():

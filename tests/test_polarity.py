@@ -40,11 +40,13 @@ def test_polar_ball_self_dual():
 def test_polar_revolution_ball_profile():
     b = revolution_ball(3, 1.0, 2049)
     p = polar(b)
-    expect = np.sqrt(np.maximum(1.0 - p.t ** 2, 0.0))
+    s = np.linspace(-1.0, 1.0, 2049)
+    expect = np.sqrt(np.maximum(1.0 - s ** 2, 0.0))
     # interior matches the dual ball; the polar of the sample hull carries
     # genuine flat caps of height ~sqrt(grid step / 2) at the axis tips
-    assert float(np.max(np.abs(p.radius - expect)[1:-1])) <= 2e-4
-    assert abs(p.radius[0]) <= 0.03 and abs(p.radius[-1]) <= 0.03
+    phi = p.radius_at(s)
+    assert float(np.max(np.abs(phi - expect)[1:-1])) <= 2e-4
+    assert abs(phi[0]) <= 0.03 and abs(phi[-1]) <= 0.03
 
 
 def test_polar_square_by_hand():
@@ -315,6 +317,58 @@ def test_bs_direction_random_bodies():
         assert bs_deficit(K).bs_deficit >= -1e-12
 
 
+@pytest.mark.parametrize("samples", [3, 9, 129, 2049])
+def test_bs_deficit_double_cone_is_exact(samples):
+    # |K| = 2 pi / 3 and K^o is the cylinder [-1, 1] x B(1), |K^o| = 2 pi,
+    # so the deficit is (4 pi / 3)^2 / (4 pi^2 / 3) - 1 = 1/3 at every size
+    t = np.linspace(-1.0, 1.0, samples)
+    K = bodies.RevolutionBody(3, t, 1.0 - np.abs(t))
+    assert bs_deficit(K).bs_deficit == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_polar_of_double_cone_is_a_two_vertex_cylinder():
+    t = np.linspace(-1.0, 1.0, 9)
+    P = polar(bodies.RevolutionBody(3, t, 1.0 - np.abs(t)))
+    assert P.t.tolist() == [-1.0, 1.0]
+    assert P.radius.tolist() == pytest.approx([1.0, 1.0], rel=1e-15)
+    assert volume(P) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert polar(P).t.tolist() == [-1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("tilt", [1e-9, -1e-9])
+def test_polar_of_a_nearly_even_flat_top(tilt):
+    # the flat top spans t = 0 and tilts by rounding; its dual is the top
+    # vertex of the polar and must be kept whichever way it tilts
+    t = np.array([-1.0, -0.5, 0.5, 1.0])
+    r = np.array([0.5, 1.0, 1.0 + tilt, 0.5])
+    K = bodies.RevolutionBody(3, t, r)
+    E = bodies.RevolutionBody(3, t, 0.5 * (r + r[::-1]))
+    P, Q = polar(K), polar(E)
+    nodes = np.union1d(P.t, Q.t)
+    assert np.max(np.abs(P.radius_at(nodes) - Q.radius_at(nodes))) <= 1e-8
+    assert P.radius_at(0.0) == pytest.approx(1.0, rel=1e-8)
+    assert volume(P) == pytest.approx(volume(Q), rel=1e-8)
+    assert bm_distance_to_ball(K) == pytest.approx(bm_distance_to_ball(E), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bs_deficit_sampled_balls_are_nonnegative(n):
+    # a sampled ball is inscribed in the ball, a different body, so its
+    # exact deficit is positive and falls with the resolution
+    vals = [bs_deficit(revolution_ball(n, 1.0, s)).bs_deficit for s in (17, 129, 2049)]
+    assert vals[0] > vals[1] > vals[2] >= 0.0
+
+
+def test_bs_deficit_random_bodies_are_nonnegative():
+    # Blaschke-Santalo holds for the stored body itself at every resolution
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        K = bodies.random_revolution_body(n, rng, samples=int(rng.integers(3, 130)),
+                                          amplitude=rng.uniform(0.0, 1.0))
+        assert bs_deficit(K).bs_deficit >= 0.0
+
+
 def test_volume_product_affine_invariance():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -427,6 +481,15 @@ def test_cap_cut_bm_monotone_in_eps():
     vals = [bm_distance_to_ball(cap_cut_body(3, e, samples=8193)) for e in grid]
     assert vals[0] > 0
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("h", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0])
+def test_spherical_cap_volume_thin_caps(h):
+    # polynomial closed forms for odd n
+    assert spherical_cap_volume(3, h) == pytest.approx(
+        math.pi * h * h * (3.0 - h) / 3.0, rel=1e-12)
+    assert spherical_cap_volume(5, h) == pytest.approx(
+        0.5 * math.pi ** 2 * (4.0 * h ** 3 / 3.0 - h ** 4 + h ** 5 / 5.0), rel=1e-12)
 
 
 def test_cap_cut_degenerate_rejected():
