@@ -3,9 +3,10 @@
 The central object is the pointwise-minimal midpoint function
 ``m*(t) = sup { sqrt(f(r) g(s)) : mean(r, s) = t }`` for the arithmetic or
 geometric mean, together with its integral deficit and the L1 stability
-distance of f from an affinely adjusted m.  The geometric-mean mode reduces
-to the arithmetic one through the substitution h(x) = H(e^x) e^x, which also
-maps half-line problems to whole-line ones while preserving integrals.
+distance of f from an affinely adjusted m.  All half-line work, the
+geometric midpoint and the scale-form fit alike, reduces to the arithmetic,
+shift form through the substitution h(x) = H(e^x) e^x, which maps half-line
+problems to whole-line ones while preserving integrals.
 """
 
 from __future__ import annotations
@@ -336,11 +337,6 @@ def _shift_l1(f: GridFn1D, m: GridFn1D, a: float, b: float) -> float:
     return _l1_between(f.grid, f.values, m.grid - b, a * m.values)
 
 
-def _scale_l1(f: GridFn1D, m: GridFn1D, a: float, b: float) -> float:
-    """int |f(t) - a m(b t)| dt (half-line, b > 0)."""
-    return _l1_between(f.grid, f.values, m.grid / b, a * m.values)
-
-
 def _trapezoid_weights(xs):
     d = np.diff(xs) / 2.0
     w = np.zeros(len(xs))
@@ -439,71 +435,50 @@ def _scan_minimize(objective, qs, q0, brackets, xatol=1e-12):
     return min(eligible, key=lambda r: abs(r[0] - q0))
 
 
-def _support_ends(h: GridFn1D, log: bool):
-    """First and last abscissa of h's positivity set; in logs, the first
-    positive one."""
+def _support_ends(h: GridFn1D):
+    """First and last abscissa of h's positivity set."""
     pos = np.flatnonzero(h.values > 0)
-    x = h.grid[pos[0]:pos[-1] + 1]
-    if log:
-        x = np.log(x[x > 0])
-    return float(x[0]), float(x[-1])
+    return float(h.grid[pos[0]]), float(h.grid[pos[-1]])
 
 
-def _mean_cell(h: GridFn1D, log: bool):
-    """Width of h's grid cell at its mean abscissa, in logs for the scale form."""
+def _mean_cell(h: GridFn1D):
+    """Width of h's grid cell at its mean abscissa."""
     k = int(np.clip(np.searchsorted(h.grid, mean_abscissa(h)), 1, len(h.grid) - 1))
-    x0, x1 = h.grid[k - 1], h.grid[k]
-    return math.log(x1 / x0) if log and x0 > 0 else float(x1 - x0)
+    return float(h.grid[k] - h.grid[k - 1])
 
 
-def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
-    """((a, b, 1/a, -b or 1/b), L1) minimizing int |f(t) - a m(t + b)| dt in
-    shift form, or int |f(t) - a m(b t)| dt in scale form; with g, the
-    distance of g from (1/a) m(t - b), or (1/a) m(t / b), is added.  The L1
-    is not normalized; it is the trapezoid sum of _l1_between at (a, b).
+def _fit(f: GridFn1D, m: GridFn1D, g: GridFn1D | None = None):
+    """((a, b), l1_f, l1_g) minimizing int |f(t) - a m(t + b)| dt, plus, with
+    g, int |g(t) - (1/a) m(t - b)| dt; without g, l1_g is None.  The L1s are
+    not normalized; each is the trapezoid sum of _l1_between at (a, b).
+    Half-line fits run on exp_substitution outputs, in this form.
 
-    For each offset q = b, or q = ln b, the best a is exact
-    (_best_amplitude).  _scan_minimize searches q over the offsets at which
-    the moved support of m overlaps that of f (and of g, where both can),
-    more finely around the moment-matched start q0, which moves the mean of
-    m onto that of f, to a quarter of a grid cell.  A second scan over one
-    grid cell either side of the result and _kink_vertex polish it.  Ties go
-    to the offset nearest q0.  The sum is continuous in q: _union keeps
-    every nonzero grid end a step.
+    For each offset b the best a is exact (_best_amplitude).  _scan_minimize
+    searches b over the offsets at which the moved support of m overlaps that
+    of f (and of g, where both can), and more finely over the start box: one
+    standard deviation of f's mass either side of the moment-matched start
+    q0, which moves the mean of m onto that of f.  Brent's search stops at a
+    quarter of a grid cell; a second scan over one grid cell either side of
+    the result and _kink_vertex polish it.  Ties go to the offset nearest
+    q0.  The sum is continuous in b: _union keeps every nonzero grid end a
+    step.
     """
-    log = not shift
-    (f0, f1), (m0, m1) = _support_ends(f, log), _support_ends(m, log)
+    (f0, f1), (m0, m1) = _support_ends(f), _support_ends(m)
     lo, hi = m0 - f1, m1 - f0
-    cell = max(_mean_cell(f, log), _mean_cell(m, log))
+    cell = max(_mean_cell(f), _mean_cell(m))
     if g is not None:
-        g0, g1 = _support_ends(g, log)
+        g0, g1 = _support_ends(g)
         if max(lo, g0 - m1) < min(hi, g1 - m0):
             lo, hi = max(lo, g0 - m1), min(hi, g1 - m0)
-        cell = max(cell, _mean_cell(g, log))
-    if shift:
-        q0 = mean_abscissa(m) - mean_abscissa(f)
-        box = 0.25 * (f.grid[-1] - f.grid[0])
-
-        def params(a, q):
-            return a, q, 1.0 / a, -q
-
-        def moved(b):
-            return m.grid - b
-    else:
-        q0 = math.log(mean_abscissa(m) / mean_abscissa(f))
-        box = 0.5
-
-        def params(a, q):
-            b = math.exp(q)
-            return a, b, 1.0 / a, 1.0 / b
-
-        def moved(b):
-            return m.grid / b
+        cell = max(cell, _mean_cell(g))
+    mean_f = mean_abscissa(f)
+    q0 = mean_abscissa(m) - mean_f
+    d = f.grid - mean_f
+    box = math.sqrt(float(_trapezoid(d * d * f.values, f.grid)) / integral(f))  # f's std. dev.
 
     def best(q):
-        _, b, _, b_g = params(1.0, q)
-        f_part = _union(f.grid, f.values, moved(b), m.values)
-        g_part = None if g is None else _union(g.grid, g.values, moved(b_g), m.values)
+        f_part = _union(f.grid, f.values, m.grid - q, m.values)
+        g_part = None if g is None else _union(g.grid, g.values, m.grid + q, m.values)
         return _best_amplitude(f_part, g_part)
 
     def value(q):
@@ -518,10 +493,8 @@ def _fit(f: GridFn1D, m: GridFn1D, shift: bool, g: GridFn1D | None = None):
     q += u
     for t in (1e-8 * cell, 1e-12 * cell):  # Brent stops within t of a kink
         q, v = _kink_vertex(lambda u: value(q + u), t, v, q)
-    a, b, a_g, b_g = p = params(best(q)[0], q)
-    l1 = _shift_l1 if shift else _scale_l1
-    dist = l1(f, m, a, b)
-    return p, dist if g is None else dist + l1(g, m, a_g, b_g)
+    a = best(q)[0]
+    return (a, q), _shift_l1(f, m, a, q), None if g is None else _shift_l1(g, m, 1.0 / a, -q)
 
 
 def _kink_vertex(objective, t, v, q):
@@ -547,31 +520,35 @@ def stability_distance(f: GridFn1D, m: GridFn1D, mode="shift", constrain_equal=F
     scale mode: min over (a, b > 0) of int |f(t) - a m(b t)| dt (half-line).
     ``constrain_equal`` ties a = b in scale mode (ValueError in shift mode).
     Returns (a, b, l1) with the distance normalized by int m.
+
+    Scale mode is shift mode on h = exp_substitution(f) and exp_substitution(m):
+    int |f(t) - a m(b t)| dt = int |h_f(x) - (a/b) h_m(x + ln b)| dx, so the
+    shift fit (A, q) of the substituted pair is returned as (A e^q, e^q), with
+    its L1 normalized by int h_m; a = b is the unit-amplitude shift scan.  A
+    grid that touches 0 is truncated there, as in the geometric midpoint.
     """
     if constrain_equal and mode != "scale":
         raise ValueError(f"constrain_equal needs scale mode, not {mode!r}")
-    int_f, int_m = integral(f), integral(m)
-    if int_f <= 0 or int_m <= 0:
-        raise EmptyFunctionError("stability distance needs positive integrals")
-    if mode == "shift":
-        (a, b, _, _), l1 = _fit(f, m, shift=True)
-        return a, b, l1 / int_m
+    if mode not in ("shift", "scale"):
+        raise ValueError(f"unknown stability mode {mode!r}")
     if mode == "scale":
         if f.domain != HALF_LINE or m.domain != HALF_LINE:
             raise ValueError("scale mode needs half-line functions")
-        if constrain_equal:
-            c0 = math.log(max(mean_abscissa(m) / mean_abscissa(f), 1e-12))
-
-            def obj1(q):
-                c = math.exp(q)
-                return _scale_l1(f, m, c, c)
-
-            q, l1 = _scan_minimize(obj1, np.linspace(c0 - 2.5, c0 + 2.5, 41), c0, 1)
-            c = math.exp(q)
-            return c, c, float(l1) / int_m
-        (a, b, _, _), l1 = _fit(f, m, shift=False)
-        return a, b, l1 / int_m
-    raise ValueError(f"unknown stability mode {mode!r}")
+        f, m = exp_substitution(f), exp_substitution(m)
+    int_f, int_m = integral(f), integral(m)
+    if int_f <= 0 or int_m <= 0:
+        raise EmptyFunctionError("stability distance needs positive integrals")
+    if constrain_equal:
+        q0 = mean_abscissa(m) - mean_abscissa(f)
+        a = 1.0
+        q, l1 = _scan_minimize(lambda q: _shift_l1(f, m, a, q),
+                               np.linspace(q0 - 2.5, q0 + 2.5, 41), q0, 1)
+    else:
+        (a, q), l1, _ = _fit(f, m)
+    if mode == "shift":
+        return a, q, l1 / int_m
+    b = math.exp(q)
+    return a * b, b, float(l1) / int_m
 
 
 # ---------------------------------------------------------------------------
@@ -603,30 +580,33 @@ def pl_report(f: GridFn1D, g: GridFn1D, mean="arithmetic", m: GridFn1D | None = 
 
     m defaults to the minimal midpoint function.  The (a, b) pair is fitted
     jointly: f is compared against a m(t + b) and g against (1/a) m(t - b)
-    in shift form (arithmetic mean), or a m(b t) and (1/a) m(t / b) in scale
-    form (geometric mean).
+    for the arithmetic mean.  For the geometric mean (half-line functions)
+    the same fit runs on the exp_substitution outputs of f, g and m, and its
+    (A, q) is reported as (a, b) = (A e^q, e^q): f is compared against
+    a m(b t) and g against (1/a) m(t / b), as in stability_distance's scale
+    mode, and the L1s are normalized by the integral of the substituted m.
+    The deficit and the integrals are those of f, g and m as given.
     """
+    if mean not in ("arithmetic", "geometric"):
+        raise ValueError(f"unknown mean {mean!r}")
     if m is None:
         m = sup_convolution_midpoint(f, g, mean)
     eps = pl_deficit(f, g, m)
-    int_m = integral(m)
-    if mean not in ("arithmetic", "geometric"):
-        raise ValueError(f"unknown mean {mean!r}")
-    shift = mean == "arithmetic"
-    (a, b, a_g, b_g), _ = _fit(f, m, shift, g)
-    l1 = _shift_l1 if shift else _scale_l1
-    l1f = l1(f, m, a, b) / int_m
-    l1g = l1(g, m, a_g, b_g) / int_m
+    hf, hg, hm = (f, g, m) if mean == "arithmetic" else map(exp_substitution, (f, g, m))
+    (a, b), l1f, l1g = _fit(hf, hm, hg)
+    if mean == "geometric":
+        a, b = a * math.exp(b), math.exp(b)
+    int_hm = integral(hm)
     om = omega(eps) if eps > 0 else 0.0
     return PLReport(
-        integral_m=int_m,
+        integral_m=integral(m),
         integral_f=integral(f),
         integral_g=integral(g),
         deficit=eps,
         omega_bound=om,
         a=a,
         b=b,
-        l1_f=l1f,
-        l1_g=l1g,
+        l1_f=l1f / int_hm,
+        l1_g=l1g / int_hm,
         vacuous=bool(om >= 1.0),
     )

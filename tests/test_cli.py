@@ -147,6 +147,22 @@ def test_cli_pl1d(tmp_path, capsys):
     assert float(vals[5]) <= 1e-4
 
 
+def test_cli_pl1d_geometric(tmp_path, capsys):
+    t = np.linspace(1e-2, 8.0, 401)
+    paths = [str(tmp_path / name) for name in ("f.csv", "g.csv")]
+    for path, vals in zip(paths, (np.exp(-t), t * np.exp(-t))):
+        fileio.save_gridfn(path, pl1d.GridFn1D(t, vals, pl1d.HALF_LINE))
+    code = main(["pl1d", "--f", paths[0], "--g", paths[1], "--mode", "geom"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "eps,omega,a,b,l1_f,l1_g,vacuous"
+    f, g = (fileio.load_gridfn(path, domain=pl1d.HALF_LINE) for path in paths)
+    rep = pl1d.pl_report(f, g, mean="geometric")
+    assert out[1] == experiments.csv_row(rep.deficit, rep.omega_bound, rep.a, rep.b,
+                                         rep.l1_f, rep.l1_g, rep.vacuous)
+    assert rep.deficit > 0 and rep.b != 1.0
+
+
 def test_cli_fmp(ball_file, capsys):
     code = main(["fmp", "--k", ball_file, "--c", ball_file, "--dim", "3"])
     out = capsys.readouterr().out.splitlines()

@@ -474,6 +474,35 @@ def test_stability_scale_constrained():
     assert l1 <= 1e-6
 
 
+def _half_line_pair(samples=301):
+    t = np.linspace(1e-2, 8.0, samples)
+    return GridFn1D(t, np.exp(-t), HALF_LINE), GridFn1D(t, t * np.exp(-t), HALF_LINE)
+
+
+def test_scale_mode_is_the_substituted_shift_fit():
+    # int |f(t) - a m(b t)| dt = int |h_f(x) - (a/b) h_m(x + ln b)| dx
+    F, G = _half_line_pair()
+    M = sup_convolution_midpoint(F, G, "geometric")
+    hf, hg, hm = (exp_substitution(h) for h in (F, G, M))
+    A, q, l1 = stability_distance(hf, hm, "shift")
+    assert abs(q) > 0.1
+    assert stability_distance(F, M, "scale") == (A * math.exp(q), math.exp(q), l1)
+    rep, sub = pl_report(F, G, "geometric"), pl_report(hf, hg, m=hm)
+    assert (rep.a, rep.b) == (sub.a * math.exp(sub.b), math.exp(sub.b))
+    assert (rep.l1_f, rep.l1_g) == (sub.l1_f, sub.l1_g)
+    # the deficit and the integrals stay those of the given functions
+    assert rep.deficit == pl_deficit(F, G, M)
+    assert (rep.integral_f, rep.integral_g, rep.integral_m) == (
+        integral(F), integral(G), integral(M))
+
+
+def test_geometric_report_needs_a_half_line_midpoint():
+    F, G = _half_line_pair(101)
+    x = np.linspace(-8.0, 2.0, 101)  # mean abscissa below 0
+    with pytest.raises(ValueError, match="half-line"):
+        pl_report(F, G, mean="geometric", m=GridFn1D(x, np.exp(-np.abs(x))))
+
+
 def test_stability_tiebreak_deterministic():
     # flat valley: indicator vs indicator leaves a plateau of minimizers
     x = np.linspace(-4.0, 4.0, 1601)
@@ -544,38 +573,28 @@ def _multistart_minimize(objective, x0, spreads):
     return eligible[0]
 
 
-def fit_objective(f, m, shift, g, params):
-    """The sum pl1d._fit minimizes, at (a, b, 1/a, -b or 1/b)."""
-    a, b, a_g, b_g = params
-    l1 = pl1d._shift_l1 if shift else pl1d._scale_l1
-    dist = l1(f, m, a, b)
-    return dist if g is None else dist + l1(g, m, a_g, b_g)
+def fit_objective(f, m, g, params):
+    """The sum pl1d._fit minimizes, at (a, b): f against a m(t + b) and g
+    against (1/a) m(t - b)."""
+    a, b = params
+    dist = pl1d._shift_l1(f, m, a, b)
+    return dist if g is None else dist + pl1d._shift_l1(g, m, 1.0 / a, -b)
 
 
-def nelder_mead_fit(f, m, shift, g=None):
+def nelder_mead_fit(f, m, g=None):
     """The fit as the package computed it before the exact amplitude (oracle):
-    Nelder-Mead over (ln a, b), or (ln a, ln b), from the moment-matched
-    start and from that start moved by +-0.5 in ln a and by +- a quarter of
-    f's grid span in b (+-0.5 in ln b)."""
-    if shift:
-        a0 = integral(f) / integral(m)
-        x0 = [math.log(max(a0, 1e-12)), mean_abscissa(m) - mean_abscissa(f)]
-        spreads = [0.5, 0.25 * (f.grid[-1] - f.grid[0])]
+    Nelder-Mead over (ln a, b) from the moment-matched start and from that
+    start moved by +-0.5 in ln a and by +- a quarter of f's grid span in b.
+    Half-line pairs go in as their exp_substitution outputs, as the package
+    fits them."""
+    a0 = integral(f) / integral(m)
+    x0 = [math.log(max(a0, 1e-12)), mean_abscissa(m) - mean_abscissa(f)]
+    spreads = [0.5, 0.25 * (f.grid[-1] - f.grid[0])]
 
-        def params(p):
-            a = math.exp(p[0])
-            return a, float(p[1]), 1.0 / a, -float(p[1])
-    else:
-        b0 = mean_abscissa(m) / mean_abscissa(f)
-        a0 = b0 * integral(f) / integral(m)
-        x0 = [math.log(max(a0, 1e-12)), math.log(max(b0, 1e-12))]
-        spreads = [0.5, 0.5]
+    def params(p):
+        return math.exp(p[0]), float(p[1])
 
-        def params(p):
-            a, b = math.exp(p[0]), math.exp(p[1])
-            return a, b, 1.0 / a, 1.0 / b
-
-    res = _multistart_minimize(lambda p: fit_objective(f, m, shift, g, params(p)), x0, spreads)
+    res = _multistart_minimize(lambda p: fit_objective(f, m, g, params(p)), x0, spreads)
     return params(res.x), res.fun
 
 
@@ -698,18 +717,47 @@ def fit_corpus(seed=0, count=100):
     return out
 
 
-def test_fit_corpus_against_nelder_mead():
+def fit_and_nelder_mead(f, m, shift, g):
+    """(l1, Nelder-Mead's value) of one corpus pair; half-line pairs are
+    fitted on their exp_substitution outputs, as the package fits them."""
+    if not shift:
+        f, m, g = (None if h is None else exp_substitution(h) for h in (f, m, g))
+    params, l1_f, l1_g = pl1d._fit(f, m, g)
+    l1 = l1_f if g is None else l1_f + l1_g
+    assert l1 == fit_objective(f, m, g, params)
+    return l1, nelder_mead_fit(f, m, g)[1]
+
+
+def check_fit_corpus(seed):
+    """The fit against Nelder-Mead on fit_corpus(seed): never worse by more
+    than 1e-6 (401 samples and up) or 1e-3 (fewer).  Tier-1 runs seed 0;
+    CI runs seeds 1-3 in a step of their own, one seed as
+    PYTHONPATH=src:tests python -c "import test_pl1d; test_pl1d.check_fit_corpus(1)"
+    """
     beaten, worse = 0, []
-    for name, n, f, m, shift, g in fit_corpus():
-        params, l1 = pl1d._fit(f, m, shift, g)
-        assert l1 == fit_objective(f, m, shift, g, params)
-        _, nm = nelder_mead_fit(f, m, shift, g)
+    for name, n, f, m, shift, g in fit_corpus(seed):
+        l1, nm = fit_and_nelder_mead(f, m, shift, g)
         bound = 1e-6 if n >= 401 else 1e-3
         if l1 > nm * (1.0 + bound):
             worse.append((name, l1 / nm - 1.0))
         beaten += l1 < nm * (1.0 - 0.01)
-    print(f"fit corpus: {beaten} of 100 pairs beat Nelder-Mead by more than 1%")
+    print(f"fit corpus seed {seed}: {beaten} of 100 pairs beat Nelder-Mead by more than 1%")
     assert not worse, worse
+
+
+def test_fit_corpus_against_nelder_mead():
+    check_fit_corpus(0)
+
+
+def test_fit_start_box_finds_a_narrow_basin():
+    # seed 1, pair 61: a joint scale-form fit whose best offset lies in a
+    # basin narrower than the 0.13 between 21 start points over a quarter
+    # of f's grid span either side; over f's standard deviation they lie
+    # 0.035 apart
+    name, n, f, m, shift, g = fit_corpus(1, count=62)[61]
+    assert name == "61:bimodal/laplace/s201" and not shift and g is not None
+    l1, nm = fit_and_nelder_mead(f, m, shift, g)
+    assert l1 <= nm * (1.0 + 1e-3)
 
 
 def test_pl_report_fields_and_vacuous_flag():
