@@ -51,6 +51,8 @@ class GridFn1D:
     The grid bounds the support: the function is 0 outside it, so it steps
     to 0 at a grid end where it is nonzero.  Integrals are trapezoid sums
     over the stored grid, and L1 distances keep the same steps.
+    ``log_concave=True`` is the caller's assertion, checked here; no
+    computation reads it, and no derived function carries it.
     """
 
     grid: np.ndarray
@@ -222,10 +224,11 @@ def _max_plus(la, lb):
 def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> GridFn1D:
     """Pointwise-minimal m with m(mean(r, s)) >= sqrt(f(r) g(s)).
 
-    Arithmetic mode pairs the grids exhaustively; the output lives on a
-    twice-refined lattice covering the mean-closure of the supports, so the
-    midpoint set is captured without aliasing.  Geometric mode (half-line
-    inputs) reduces to arithmetic mode on log-spaced grids.
+    Arithmetic mode takes the max-plus of the logs on one equal-step
+    lattice (``_max_plus``: a slope merge on concave cores); the output
+    lives on a twice-refined lattice covering the mean-closure of the
+    supports, so the midpoint set is captured without aliasing.  Geometric
+    mode (half-line inputs) reduces to arithmetic mode on log-spaced grids.
     """
     if mean == "geometric":
         if f.domain != HALF_LINE or g.domain != HALF_LINE:
@@ -234,9 +237,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
         hg = exp_substitution(g)
         mid = sup_convolution_midpoint(hf, hg, "arithmetic")
         u = np.exp(mid.grid)
-        vals = mid.values / u
-        lc = f.log_concave and g.log_concave and _log_concave_ok(u, vals)
-        return GridFn1D(u, vals, HALF_LINE, log_concave=lc)
+        return GridFn1D(u, mid.values / u, HALF_LINE)
     if mean != "arithmetic":
         raise ValueError(f"unknown mean {mean!r}")
 
@@ -257,10 +258,8 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
         lb = np.log(vg)
     ls = 0.5 * _max_plus(la, lb)
     grid = 0.5 * (xf[0] + xg[0]) + 0.5 * step * np.arange(len(ls))
-    vals = np.exp(ls)
     domain = HALF_LINE if (f.domain == HALF_LINE and g.domain == HALF_LINE) else WHOLE_LINE
-    lc = f.log_concave and g.log_concave and _log_concave_ok(grid, vals)
-    return GridFn1D(grid, vals, domain, log_concave=lc)
+    return GridFn1D(grid, np.exp(ls), domain)
 
 
 def pl_deficit(f: GridFn1D, g: GridFn1D, m: GridFn1D) -> float:
@@ -283,8 +282,8 @@ def omega(eps: float) -> float:
 def exp_substitution(H: GridFn1D) -> GridFn1D:
     """h(x) = H(e^x) e^x on the logarithm of H's grid.
 
-    Change of variables preserves the integral; if H is flagged log-concave
-    and is decreasing, the output is log-concave.
+    Change of variables preserves the integral.  A decreasing log-concave H
+    gives a log-concave h, which carries no ``log_concave`` flag.
     """
     if H.domain != HALF_LINE:
         raise ValueError("exp_substitution needs a half-line function")
@@ -296,11 +295,7 @@ def exp_substitution(H: GridFn1D) -> GridFn1D:
         g, v = g[keep], v[keep]
         if len(g) < 2:
             raise EmptyFunctionError("nothing left after truncating at 0")
-    x = np.log(g)
-    h = v * g
-    decreasing = bool(np.all(np.diff(v) <= 1e-12 * max(float(np.max(v)), 1.0)))
-    lc = H.log_concave and decreasing and _log_concave_ok(x, h)
-    return GridFn1D(x, h, WHOLE_LINE, log_concave=lc)
+    return GridFn1D(np.log(g), v * g, WHOLE_LINE)
 
 
 # ---------------------------------------------------------------------------

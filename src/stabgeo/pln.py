@@ -4,12 +4,12 @@ A ``LevelStack`` stores f(x) = max{ t_k : x in body_k } for decreasing
 heights t_0 > t_1 > ... and nested coaxial bodies of revolution; it is the
 step-function discretization of an even quasi-concave function.  Integrals
 are exact layer-cake sums.  ``minimal_midpoint_stack`` builds the smallest
-stack m with m((x+y)/2) >= sqrt(f(x) g(y)) level by level, as the convex
-hull of Minkowski midpoints of all level-body pairs whose heights multiply
-to at least the squared output level, and ``pl_trace`` follows the
-resulting deficit through the rescaled level bodies, the (alpha, beta,
-sigma, eta) profile quantities, the I/J level dissection and the L1
-distances.
+stack m with m((x+y)/2) >= sqrt(f(x) g(y)), each product rounded down to
+the output height grid, level by level, as the convex hull of Minkowski
+midpoints of all level-body pairs whose heights multiply to at least the
+squared output level, and ``pl_trace`` follows the resulting deficit
+through the rescaled level bodies, the (alpha, beta, sigma, eta) profile
+quantities, the I/J level dissection and the L1 distances.
 """
 
 from __future__ import annotations
@@ -30,20 +30,18 @@ from .pl1d import GridFn1D, HALF_LINE
 DEFAULT_LEVEL_COUNT = 64
 DEFAULT_LEVEL_FLOOR = 1e-6
 _LOOKUP_RTOL = 1e-9
-_THETA = (np.arange(64) + 0.5) * math.pi / 64  # meridian support directions
-_R_PROBES = 9  # probe values of r per output level in containment_margin
 _NORMALIZATION_TOL = 1e-6  # |int f - 1| allowed for a probability stack
 
 
 @dataclass(frozen=True)
 class LevelStack:
     """Even quasi-concave function as (height, body) pairs, heights strictly
-    decreasing, bodies nested and coaxial."""
+    decreasing, bodies nested and coaxial.  It carries no log-concavity
+    flag: log-concavity is a property of the builders, checked in tests."""
 
     dim: int
     levels: np.ndarray
     bodies: tuple
-    log_concave: bool = False
 
     def __post_init__(self):
         lv = np.ascontiguousarray(self.levels, dtype=float)
@@ -57,23 +55,14 @@ class LevelStack:
                 raise UnsupportedCombinationError(
                     "stack bodies must be coaxial revolution bodies of the stack dimension"
                 )
-        # tolerances are relative to the meridian circumradii
-        R = [float(np.max(np.hypot(b.t, b.radius))) for b in bd]
-        for prev, cur, R_cur in zip(bd[:-1], bd[1:], R[1:]):
+        for prev, cur in zip(bd[:-1], bd[1:]):
+            # the tolerance is relative to the outer meridian's circumradius
+            R_cur = float(np.max(np.hypot(cur.t, cur.radius)))
             if _excess(prev.t, prev.radius, cur) > 1e-7 * max(R_cur, 1.0):
                 raise ValueError("stack bodies are not nested")
         lv.setflags(write=False)
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "bodies", bd)
-        if self.log_concave and len(bd) >= 3 and _geometric_ratio(lv) is not None:
-            # log-concavity of the represented function: on a geometric level
-            # grid each level body contains the Minkowski midpoint of its two
-            # neighbours.  Note the level-volume profile itself need not be
-            # log-concave in t, so it cannot serve as the certificate.
-            for lo, mid, hi in zip(bd[:-2], bd[1:-1], bd[2:]):
-                ts, rs = _bodies.profile_sum(lo, hi)
-                if _excess(0.5 * ts, 0.5 * rs, mid) > 1e-6 * max(R):
-                    raise ValueError("stack flagged log-concave fails the midpoint check")
 
     @cached_property
     def volumes(self) -> np.ndarray:
@@ -109,30 +98,27 @@ def stack_integral(f: LevelStack) -> float:
 
 def section_profile(f: LevelStack) -> GridFn1D:
     """t -> |{f >= t}| on the level grid, as a decreasing half-line function."""
-    grid = f.levels[::-1].copy()
-    vals = f.volumes[::-1].copy()
-    lc = f.log_concave and _pl1d._log_concave_ok(grid, vals)
-    return GridFn1D(grid, vals, HALF_LINE, log_concave=lc)
+    return GridFn1D(f.levels[::-1].copy(), f.volumes[::-1].copy(), HALF_LINE)
 
 
 def normalize_probability(f: LevelStack) -> LevelStack:
     total = stack_integral(f)
     if total <= 0:
         raise EmptyFunctionError("cannot normalize a zero stack")
-    return LevelStack(f.dim, f.levels / total, f.bodies, log_concave=f.log_concave)
+    return LevelStack(f.dim, f.levels / total, f.bodies)
 
 
 def scale_stack(f: LevelStack, space_factor=1.0, level_factor=1.0) -> LevelStack:
     bd = tuple(_bodies.scale(b, space_factor) for b in f.bodies) \
         if space_factor != 1.0 else f.bodies
-    return LevelStack(f.dim, f.levels * level_factor, bd, log_concave=f.log_concave)
+    return LevelStack(f.dim, f.levels * level_factor, bd)
 
 
 def axis_dilated_stack(f: LevelStack, factor: float) -> LevelStack:
     """Stretch all level bodies along the axis and renormalize the heights,
     so a probability stack stays a probability stack."""
     bd = tuple(_bodies.dilate_axis(b, factor) for b in f.bodies)
-    return LevelStack(f.dim, f.levels / factor, bd, log_concave=f.log_concave)
+    return LevelStack(f.dim, f.levels / factor, bd)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +126,7 @@ def axis_dilated_stack(f: LevelStack, factor: float) -> LevelStack:
 # ---------------------------------------------------------------------------
 
 
-def stack_from_level_sets(dim, body_fn, levels, log_concave=False) -> LevelStack:
+def stack_from_level_sets(dim, body_fn, levels) -> LevelStack:
     """Discretize a continuum of level sets into a stack.
 
     ``body_fn(s)`` must return the level body {f >= s}.  The body stored at
@@ -152,7 +138,7 @@ def stack_from_level_sets(dim, body_fn, levels, log_concave=False) -> LevelStack
     ratio = levels[-1] / levels[-2] if len(levels) >= 2 else 1.0
     below = np.concatenate([levels[1:], [levels[-1] * ratio]])
     bodies_ = tuple(body_fn(s) for s in np.sqrt(levels * below))
-    return LevelStack(dim, levels, bodies_, log_concave=log_concave)
+    return LevelStack(dim, levels, bodies_)
 
 
 def _quadratic_stack(dim, body_at, level_count, floor) -> LevelStack:
@@ -162,7 +148,7 @@ def _quadratic_stack(dim, body_at, level_count, floor) -> LevelStack:
     top = float(floor) ** (1.0 / (2.0 * level_count))
     levels = np.geomspace(top, top * floor, level_count)
     st = stack_from_level_sets(dim, lambda s: body_at(math.sqrt(2.0 * math.log(1.0 / s))),
-                               levels, log_concave=True)
+                               levels)
     return normalize_probability(st)
 
 
@@ -197,16 +183,11 @@ def random_log_concave_stack(dim, rng, level_count=40, floor=1e-5, samples=257) 
 # ---------------------------------------------------------------------------
 
 
-def _geometric_ratio(levels):
-    if len(levels) < 2:
-        return None
-    r = levels[1:] / levels[:-1]
-    return float(r[0]) if np.allclose(r, r[0], rtol=1e-9, atol=0.0) else None
-
-
 def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
-    """Smallest stack m with m((x+y)/2) >= sqrt(f(x) g(y)), up to
-    discretization slack (see ``containment_margin``).
+    """Smallest stack m on the heights u_k whose level at u_k holds every
+    midpoint (x+y)/2 with f(x) g(y) >= u_k^2: m((x+y)/2) >= sqrt(f(x) g(y))
+    with each product rounded down to the u grid.  ``containment_margin``
+    checks this exactly.
 
     The output heights u_k are log-spaced from sqrt(f_0 g_0) to
     sqrt(f_last g_last), one per level of the longer input stack; on two
@@ -250,25 +231,17 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
 
 
 def containment_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
-    """Worst support excess of ((f-body at r) + (g-body at u^2/r))/2 over the
-    m-body at u, across output levels u and 9 log-spaced probe values of r,
-    on 64 meridian directions.  Zero (up to float noise) means m is a valid
-    midpoint majorant at the probed pairs."""
+    """Largest reach of a midpoint (F_i + G_j)/2 outside the m-body at u,
+    over the output levels u of m and every pair with f_i g_j >= u^2, or 0.
+    Exact: the reach is the ``_excess`` of the halved ``profile_sum``
+    vertices, and the m-bodies are convex.  A minimal midpoint stack reads
+    0 up to rounding."""
     worst = 0.0
     for u, body in zip(m.levels, m.bodies):
-        hm = _bodies.meridian_support(body, _THETA)
-        r_lo = u * u / g.levels[0]
-        r_hi = f.levels[0]
-        if r_lo > r_hi:
-            continue
-        for r in np.geomspace(r_lo, r_hi, _R_PROBES):
-            bf = f.body_at(r)
-            bg = g.body_at(u * u / r)
-            if bf is None or bg is None:
-                continue
-            hmid = 0.5 * (_bodies.meridian_support(bf, _THETA)
-                          + _bodies.meridian_support(bg, _THETA))
-            worst = max(worst, float(np.max(hmid - hm)))
+        J = g.body_index_at(u * u / f.levels)
+        for i in np.flatnonzero(J >= 0):
+            ts, rs = _bodies.profile_sum(f.bodies[i], g.bodies[J[i]])
+            worst = max(worst, _excess(0.5 * ts, 0.5 * rs, body))
     return worst
 
 
@@ -383,17 +356,17 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
     n = f.dim
     eps = stack_integral(m) - 1.0
 
-    swapped = False
-    F = section_profile(f)
     M = section_profile(m)
-    c, _, _ = _pl1d.stability_distance(F, M, mode="scale", constrain_equal=True)
-    b = 1.0 / c
-    if b < 1.0 - 1e-12:
+
+    def fitted_b(st):
+        c, _, _ = _pl1d.stability_distance(section_profile(st), M, "scale", constrain_equal=True)
+        return 1.0 / c
+
+    b = fitted_b(f)
+    swapped = b < 1.0 - 1e-12
+    if swapped:
         f, g = g, f
-        swapped = True
-        F = section_profile(f)
-        c, _, _ = _pl1d.stability_distance(F, M, mode="scale", constrain_equal=True)
-        b = 1.0 / c
+        b = fitted_b(f)
 
     f_t = scale_stack(f, space_factor=b ** (1.0 / n), level_factor=1.0 / b)
     g_t = scale_stack(g, space_factor=b ** (-1.0 / n), level_factor=b)
@@ -429,7 +402,7 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
     )
     ieta = float(np.nansum(np.where(I_mask, eta, 0.0) * Mv * widths))
 
-    report = TraceReport(
+    return TraceReport(
         eps=eps,
         b=b,
         swapped=swapped,
@@ -451,4 +424,3 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
         ieta=ieta,
         sectioncap_margin=_sectioncap_margin(f, g, m),
     )
-    return report

@@ -66,7 +66,7 @@ def test_gridfn_validation():
 def test_supconv_gaussian_equality():
     f = gaussian()
     m = sup_convolution_midpoint(f, f)
-    assert m.log_concave
+    assert pl1d._log_concave_ok(m.grid, m.values)
     assert float(np.max(np.abs(m.at(f.grid) - f.values))) <= 1e-12
 
 
@@ -121,8 +121,17 @@ def test_supconv_log_concavity_closure():
     for _ in range(10):
         f, g = random_logconcave_pair(rng)
         m = sup_convolution_midpoint(f, g)
-        assert m.log_concave
         assert pl1d._log_concave_ok(m.grid, m.values, tol=1e-7)
+
+
+def test_derived_functions_carry_no_flag():
+    # log_concave is the caller's assertion, not copied onto derived functions
+    f = gaussian(257)
+    u = np.geomspace(1e-3, 20.0, 257)
+    H = GridFn1D(u, np.exp(-u), HALF_LINE, log_concave=True)
+    for out in (sup_convolution_midpoint(f, f), sup_convolution_midpoint(H, H, "geometric"),
+                exp_substitution(H)):
+        assert not out.log_concave
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +328,7 @@ def test_exp_substitution_gumbel_shape():
     h = exp_substitution(H)
     expect = np.exp(h.grid - np.exp(h.grid))
     assert float(np.max(np.abs(h.values - expect))) <= 1e-12
-    assert h.log_concave
+    assert pl1d._log_concave_ok(h.grid, h.values)
 
 
 def test_exp_substitution_truncates_at_zero():
@@ -337,7 +346,6 @@ def test_exp_substitution_flag_sweep():
     for _ in range(30):
         H = random_decreasing_logconcave(rng)
         h = exp_substitution(H)
-        assert h.log_concave
         assert pl1d._log_concave_ok(h.grid, h.values)
 
 

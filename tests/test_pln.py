@@ -68,17 +68,47 @@ def test_stack_nesting_check_is_exact():
                 LevelStack(3, np.array([2.0, 1.0]), (spiked, outer))
 
 
+def neighbour_midpoint_excess(st):
+    """Log-concavity certificate of a stack on a geometric level grid: how
+    far, relative to the largest meridian circumradius, the halved
+    ``profile_sum`` of two neighbouring level bodies reaches outside the
+    body between them.  Log-concave when at most 1e-6.  The level-volume
+    profile itself need not be log-concave in t, so it cannot serve as the
+    certificate."""
+    ratios = st.levels[1:] / st.levels[:-1]
+    assert np.allclose(ratios, ratios[0], rtol=1e-9, atol=0.0)
+    R = max(float(np.max(np.hypot(b.t, b.radius))) for b in st.bodies)
+    worst = -math.inf
+    for lo, mid, hi in zip(st.bodies[:-2], st.bodies[1:-1], st.bodies[2:]):
+        ts, rs = bodies.profile_sum(lo, hi)
+        worst = max(worst, pln._excess(0.5 * ts, 0.5 * rs, mid) / R)
+    return worst
+
+
 def test_log_concave_stack_contains_neighbour_midpoints():
     # on the geometric grid 4, 2, 1 the middle body must contain the
     # midpoint of its neighbours, radius (0.2 + 1.0) / 2 = 0.6
     levels = np.array([4.0, 2.0, 1.0])
     for mid, ok in ((0.7, True), (0.5, False)):
         bd = tuple(revolution_ball(3, r, 129) for r in (0.2, mid, 1.0))
-        if ok:
-            assert LevelStack(3, levels, bd, log_concave=True).log_concave
-        else:
-            with pytest.raises(ValueError, match="log-concave"):
-                LevelStack(3, levels, bd, log_concave=True)
+        assert (neighbour_midpoint_excess(LevelStack(3, levels, bd)) <= 1e-6) == ok
+
+
+# the level counts, sample counts and floors of the benchmark's stacks
+BUILDER_SIZES = ((8, 33, 1e-4), (12, 33, 1e-5), (16, 65, 1e-5), (24, 129, 1e-4),
+                 (32, 129, 1e-5), (48, 257, 1e-5))
+
+
+def test_log_concave_builders_contain_neighbour_midpoints():
+    for dim in (2, 3, 4):
+        for levels, samples, _ in BUILDER_SIZES[::2]:
+            st = gaussian_stack(dim, level_count=levels, samples=samples)
+            assert neighbour_midpoint_excess(st) <= 1e-6
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for levels, samples, floor in BUILDER_SIZES:
+                st = random_log_concave_stack(dim, rng, levels, floor, samples)
+                assert neighbour_midpoint_excess(st) <= 1e-6
 
 
 def test_body_index_at_takes_arrays():
@@ -261,6 +291,30 @@ def test_containment_margin_small():
     m = minimal_midpoint_stack(f, g)
     scale = max(b.alpha for b in m.bodies)
     assert containment_margin(f, g, m) <= 5e-3 * scale
+
+
+def test_containment_margin_is_exact():
+    # minimal midpoint stacks hold every pair they must, to rounding
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        f = random_log_concave_stack(3, rng, level_count=16, samples=65)
+        g = random_log_concave_stack(3, rng, level_count=12, samples=65, floor=1e-4)
+        m = minimal_midpoint_stack(f, g)
+        scale = max(b.alpha for b in m.bodies)
+        assert containment_margin(f, g, m) <= 1e-12 * scale
+    # a spike 1e-4 out of the unit ball, midway between two directions of a
+    # 64-direction support table (which misses it), is read at its full
+    # height above the ball
+    ball = revolution_ball(3, 1.0, 2049)
+    inner = revolution_ball(3, 0.9, 2049)
+    phi = 20.0 * math.pi / 64.0
+    t0, r0 = (1.0 + 1e-4) * math.cos(phi), (1.0 + 1e-4) * math.sin(phi)
+    t, r = bodies.upper_hull(np.append(inner.t, [-t0, t0]), np.append(inner.radius, [r0, r0]))
+    f = LevelStack(3, np.array([1.0]), (bodies.RevolutionBody(3, t, r),))
+    m = LevelStack(3, np.array([1.0]), (ball,))
+    margin = containment_margin(f, f, m)
+    assert margin == pytest.approx(r0 - float(ball.radius_at(t0)), rel=1e-9)
+    assert margin > 1e-4
 
 
 def test_minksum_chain_on_level_lattice():
