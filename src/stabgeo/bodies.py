@@ -643,14 +643,23 @@ def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
     )
 
 
-def _ends_closed(x, v) -> np.ndarray:
+def _ends_closed(x, v, out=None) -> np.ndarray:
     """The increasing grid x with a node one ulp outside each end where v is
     positive.  A sampled function steps to 0 at a grid end where it is
     nonzero; with the function 0 at the added nodes, its linear interpolant
-    on these nodes keeps that step (its outer cell is one ulp wide)."""
-    lo = (math.nextafter(x[0], -math.inf),) if v[0] > 0 else ()
-    hi = (math.nextafter(x[-1], math.inf),) if v[-1] > 0 else ()
-    return np.concatenate((lo, x, hi)) if lo or hi else x
+    on these nodes keeps that step (its outer cell is one ulp wide).  With
+    ``out``, the grid is written to its start and returned as a view."""
+    lo, hi = int(v[0] > 0), int(v[-1] > 0)
+    if out is None:
+        if not (lo or hi):
+            return x
+        out = np.empty(lo + len(x) + hi)
+    out[lo:lo + len(x)] = x
+    if lo:
+        out[0] = math.nextafter(x[0], -math.inf)
+    if hi:
+        out[lo + len(x)] = math.nextafter(x[-1], math.inf)
+    return out[:lo + len(x) + hi]
 
 
 def contains_points(K: BodyRef, pts: np.ndarray) -> np.ndarray:
@@ -761,3 +770,86 @@ def support_hausdorff(K: BodyRef, C: BodyRef) -> float:
         return meridian_support(B, theta)
 
     return float(np.max(np.abs(table(K) - table(C))))
+
+
+# ---------------------------------------------------------------------------
+# bounded scalar search
+# ---------------------------------------------------------------------------
+
+_BRENT_MAX_EVALUATIONS = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def bounded_minimize(fun, lo, hi, xatol):
+    """(x, fun(x), evaluations) near a minimum of fun on [lo, hi]: Brent's
+    bounded search (Brent 1973, ch. 5; Forsythe-Malcolm-Moler ``fmin``),
+    step for step scipy's ``minimize_scalar(method="bounded")``, so x, the
+    value and the evaluation count agree with it bit for bit.  It stops when
+    x is known to within xatol / 3 + 1.5e-8 |x|, or after 500 evaluations.
+    A NaN value never replaces the best point: if the first one is NaN, the
+    search shrinks the interval around that point and returns it with NaN.
+    """
+    a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("search bounds must be finite")
+    if a > b:
+        raise ValueError("the lower bound exceeds the upper bound")
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = fun(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAX_EVALUATIONS:
+            break
+    return xf, fx, num

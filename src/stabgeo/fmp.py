@@ -17,14 +17,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# nothing here calls minimize any more; the name stays a module attribute
-# because perfbench's tracer patches fmp.minimize and its tests require
-# every traced name to exist
-from scipy.optimize import minimize  # noqa: F401
 
 from . import bodies
 from .bodies import BodyRef, ConvexPolygon, volume
 from .errors import ConvergenceError, UnsupportedCombinationError
+
+
+# perfbench's tracer patches minimize and minimize_scalar here by name
+# (ROADMAP item 1 drops that); nothing in the package calls them, so scipy
+# is imported only when something asks for them
+def __getattr__(name):
+    if name in ("minimize", "minimize_scalar"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def gamma_star(n: int) -> float:

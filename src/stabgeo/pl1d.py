@@ -16,13 +16,23 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
-from .bodies import _ends_closed, _trapezoid, merge_indices
+from .bodies import _ends_closed, _trapezoid, bounded_minimize, merge_indices
 from .errors import EmptyFunctionError, InvalidDataError
 
 WHOLE_LINE = "whole-line"
 HALF_LINE = "half-line"
+
+
+# perfbench's tracer patches minimize and minimize_scalar here by name
+# (ROADMAP item 1 drops that); nothing in the package calls them, so scipy
+# is imported only when something asks for them
+def __getattr__(name):
+    if name in ("minimize", "minimize_scalar"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _log_concave_ok(grid, values, tol=1e-7):
@@ -303,15 +313,49 @@ def exp_substitution(H: GridFn1D) -> GridFn1D:
 # ---------------------------------------------------------------------------
 
 
-def _union(xa, va, xb, vb):
+class _Work:
+    """Temporaries carved from one float array: ``work(n)`` is the next n
+    entries, ``work(n, rows)`` the next rows * n as a (rows, n) array, and
+    ``reset()`` hands the array out again from its start.  When a request
+    does not fit, a new array twice the size used so far takes over; views
+    already handed out keep the old one alive.
+
+    A fit evaluates its sum about 150 times, on unions of up to thousands of
+    nodes, with a reset before each evaluation: the first one sizes the
+    array and the others allocate in it.  Fresh temporaries on every
+    evaluation would take and free about 1 MiB each time, which the C
+    allocator may hand back to the system and fault in again on the next
+    evaluation."""
+
+    def __init__(self):
+        self._array = np.empty(0)
+        self._used = 0
+
+    def reset(self):
+        self._used = 0
+
+    def __call__(self, n, rows=None):
+        start = self._used
+        self._used += n if rows is None else rows * n
+        if self._used > len(self._array):
+            self._array = np.empty(2 * self._used)
+        a = self._array[start:self._used]
+        return a if rows is None else a.reshape(rows, n)
+
+
+def _union(xa, va, xb, vb, work=None):
     """(xs, A, B): the union of the increasing grids xa and xb, with the
     piecewise-linear A (values va on xa) and B (vb on xb), both zero outside
     their grids, interpolated onto it.  Each grid brings a node one ulp
     outside each nonzero end (bodies._ends_closed), so a trapezoid sum on xs
     steps to 0 there, as the function's own integral does, whatever the
     other grid.  The concatenation is two sorted runs, which a stable sort
-    merges in linear time."""
-    xs = np.sort(np.concatenate((_ends_closed(xa, va), _ends_closed(xb, vb))), kind="stable")
+    merges in linear time, in an array from ``work``."""
+    work = _Work() if work is None else work
+    xs = work(len(xa) + len(xb) + 4)
+    n = len(_ends_closed(xa, va, xs))
+    xs = xs[:n + len(_ends_closed(xb, vb, xs[n:]))]
+    xs.sort(kind="stable")
     same = xs[1:] == xs[:-1]
     if same.any():
         xs = xs[np.append(True, ~same)]
@@ -332,15 +376,38 @@ def _shift_l1(f: GridFn1D, m: GridFn1D, a: float, b: float) -> float:
     return _l1_between(f.grid, f.values, m.grid - b, a * m.values)
 
 
-def _trapezoid_weights(xs):
-    d = np.diff(xs) / 2.0
-    w = np.zeros(len(xs))
-    w[:-1] += d
+def _trapezoid_weights(xs, work):
+    d = np.subtract(xs[1:], xs[:-1], out=work(len(xs) - 1))
+    d /= 2.0
+    w = work(len(xs))
+    w[:-1] = d
+    w[-1] = 0.0
     w[1:] += d
     return w
 
 
-def _best_amplitude(f_part, g_part=None):
+def _nonzero_terms(w, P, Q):
+    """(w, P, Q) without the terms where P and Q are both zero: views when
+    the kept terms are one run, as they are for two functions with
+    overlapping supports, else copies."""
+    keep = (P > 0) | (Q > 0)
+    i, j = int(keep.argmax()), len(keep) - int(keep[::-1].argmax())
+    if keep[i:j].all():
+        return w[i:j], P[i:j], Q[i:j]
+    return w[keep], P[keep], Q[keep]
+
+
+def _on_intervals(c, s):
+    """s[i] = sum of c[i:] - sum of c[:i]: a term's coefficient summed with
+    its sign on interval i, which lies above the first i breakpoints."""
+    s[0] = 0.0
+    c.cumsum(out=s[1:])
+    total = s[-1]
+    s *= 2.0
+    np.subtract(total, s, out=s)
+
+
+def _best_amplitude(f_part, g_part=None, work=None):
     """(a, value) minimizing sum_k w_k |F_k - a M_k| + sum_j w'_j |G_j - M'_j / a|
     over a > 0, where f_part = (xs, F, M) and g_part = (xs', G, M') are
     summed by the trapezoid rule on their grids.
@@ -351,54 +418,86 @@ def _best_amplitude(f_part, g_part=None):
     alpha + beta a + gamma / a, with coefficients from cumulative sums over
     the sorted breakpoints, so its minimum lies at a breakpoint or at an
     interior sqrt(gamma / beta).  The candidates are ranked by that closed
-    form and the winner's value is summed directly.  Where no candidate is
-    finite and positive (supports that only touch), a = 1."""
+    form and the winner's value is summed directly, over every term.  Where
+    no candidate is finite and positive (supports that only touch), a = 1.
+    Float temporaries live in ``work``."""
+    work = _Work() if work is None else work
     parts = [(f_part, False)] + ([] if g_part is None else [(g_part, True)])
-    parts = [(_trapezoid_weights(xs), P, Q, inverse) for (xs, P, Q), inverse in parts]
-    bp, c_const, c_slope = [], [], []
+    parts = [(_trapezoid_weights(xs, work), P, Q, inverse) for (xs, P, Q), inverse in parts]
+    terms = [_nonzero_terms(w, P, Q) + (inverse,) for w, P, Q, inverse in parts]
+    n_f = len(terms[0][1])
+    n = n_f + (len(terms[1][1]) if g_part is not None else 0)
+    bp, c_const, c_slope, t, bp_sorted = work(n, 5)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for w, P, Q, inverse in parts:
-            keep = (P > 0) | (Q > 0)
-            w, P, Q = w[keep], P[keep], Q[keep]
+        for (w, P, Q, inverse), s in zip(terms, (slice(0, n_f), slice(n_f, n))):
             # each term's coefficients below its breakpoint
             if inverse:  # w |P - Q / a| = w (Q / a - P) for a < Q / P
-                bp.append(Q / P), c_const.append(-w * P), c_slope.append(w * Q)
+                np.divide(Q, P, out=bp[s])
+                np.negative(np.multiply(w, P, out=c_const[s]), out=c_const[s])
+                np.multiply(w, Q, out=c_slope[s])
             else:  # w |P - a Q| = w (P - a Q) for a < P / Q
-                bp.append(P / Q), c_const.append(w * P), c_slope.append(-w * Q)
-        n_f = len(bp[0])
-        bp = np.concatenate(bp)
-        order = np.argsort(bp, kind="stable")
-        bp = bp[order]
-
-        def on_intervals(c):  # interval i lies above the first i breakpoints
-            s = np.empty(len(c) + 1)
-            s[0] = 0.0
-            np.cumsum(c, out=s[1:])
-            return s[-1] - 2.0 * s
-
-        al = on_intervals(np.take(np.concatenate(c_const), order))
-        c_slope = np.take(np.concatenate(c_slope), order)
+                np.divide(P, Q, out=bp[s])
+                np.multiply(w, P, out=c_const[s])
+                np.negative(np.multiply(w, Q, out=c_slope[s]), out=c_slope[s])
+        order = bp.argsort(kind="stable")
+        bp = bp.take(order, out=bp_sorted)
+        al, be, ga, root = work(n + 1, 4)
+        _on_intervals(c_const.take(order, out=t), al)
+        c_slope = c_slope.take(order, out=t)
         if g_part is None:
-            be = on_intervals(c_slope)
-            cand, val = bp, al[1:] + be[1:] * bp
+            _on_intervals(c_slope, be)
+            cand, val = bp, np.multiply(be[1:], bp, out=c_const)
+            val += al[1:]
         else:
             of_f = order < n_f
-            be = on_intervals(np.where(of_f, c_slope, 0.0))
-            ga = on_intervals(np.where(of_f, 0.0, c_slope))
-            root = np.sqrt(ga / be)
+            split = c_const  # free once al is summed
+            np.copyto(split, 0.0)
+            np.copyto(split, c_slope, where=of_f)
+            _on_intervals(split, be)
+            np.copyto(split, c_slope)
+            np.copyto(split, 0.0, where=of_f)
+            _on_intervals(split, ga)
+            np.sqrt(np.divide(ga, be, out=root), out=root)
             inside = (be > 0) & (ga > 0)
             inside[1:] &= root[1:] > bp
             inside[:-1] &= root[:-1] < bp
             r = root[inside]
-            cand = np.concatenate((bp, r))
-            val = np.concatenate((al[1:] + be[1:] * bp + ga[1:] / bp,
-                                  al[inside] + be[inside] * r + ga[inside] / r))
+            cand, val = work(n + len(r), 2)
+            cand[:n], cand[n:] = bp, r
+            v = np.multiply(be[1:], bp, out=val[:n])
+            v += al[1:]
+            v += np.divide(ga[1:], bp, out=t)
+            val[n:] = al[inside] + be[inside] * r + ga[inside] / r
         ok = (cand > 0) & (cand < np.inf) & (val < np.inf)
-    a = float(cand[ok][np.argmin(val[ok])]) if ok.any() else 1.0
+    if ok.any():
+        # the first least value among the admissible candidates
+        np.copyto(val, np.inf, where=~ok)
+        a = float(cand[val.argmin()])
+    else:
+        a = 1.0
     total = 0.0
     for w, P, Q, inverse in parts:
-        total += float(np.dot(w, np.abs(P - (Q / a if inverse else a * Q))))
+        y = work(len(P))
+        y = np.divide(Q, a, out=y) if inverse else np.multiply(Q, a, out=y)
+        np.subtract(P, y, out=y)
+        total += float(np.dot(w, np.abs(y, out=y)))
     return a, total
+
+
+def _offset_objective(f: GridFn1D, m: GridFn1D, g: GridFn1D | None = None):
+    """best(q) -> (a, value): _best_amplitude on f against m(t + q) and, with
+    g, g against m(t - q).  Every call reuses one _Work."""
+    work = _Work()
+
+    def best(q):
+        work.reset()
+        f_part = _union(f.grid, f.values, np.subtract(m.grid, q, out=work(len(m.grid))),
+                        m.values, work)
+        g_part = None if g is None else _union(
+            g.grid, g.values, np.add(m.grid, q, out=work(len(m.grid))), m.values, work)
+        return _best_amplitude(f_part, g_part, work)
+
+    return best
 
 
 _SCAN_POINTS = 41  # over the overlap range
@@ -420,9 +519,7 @@ def _scan_minimize(objective, qs, q0, brackets, xatol=1e-12):
     for k in np.argsort(vals, kind="stable"):
         lo, hi = max(k - 1, 0), min(k + 1, n - 1)
         if min(vals[lo], vals[hi]) >= vals[k]:
-            res = minimize_scalar(objective, bounds=(qs[lo], qs[hi]),
-                                  method="bounded", options=dict(xatol=xatol))
-            found.append((res.x, res.fun))
+            found.append(bounded_minimize(objective, qs[lo], qs[hi], xatol)[:2])
             if len(found) == brackets:
                 break
     best = min(v for _, v in found)
@@ -471,10 +568,7 @@ def _fit(f: GridFn1D, m: GridFn1D, g: GridFn1D | None = None):
     d = f.grid - mean_f
     box = math.sqrt(float(_trapezoid(d * d * f.values, f.grid)) / integral(f))  # f's std. dev.
 
-    def best(q):
-        f_part = _union(f.grid, f.values, m.grid - q, m.values)
-        g_part = None if g is None else _union(g.grid, g.values, m.grid + q, m.values)
-        return _best_amplitude(f_part, g_part)
+    best = _offset_objective(f, m, g)
 
     def value(q):
         return best(q)[1]

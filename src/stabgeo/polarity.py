@@ -17,11 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# nothing here calls minimize any more; the name stays a module attribute
-# because perfbench's tracer patches polarity.minimize and its tests
-# require every traced name to exist
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
-from scipy.special import betainc, betaincinv
 
 from . import bodies
 from .bodies import (
@@ -39,6 +34,17 @@ from .errors import (
     InvalidCenterError,
     UnsupportedCombinationError,
 )
+
+
+# perfbench's tracer patches minimize and minimize_scalar here by name
+# (ROADMAP item 1 drops that); nothing in the package calls them, so scipy
+# is imported only when something asks for them
+def __getattr__(name):
+    if name in ("minimize", "minimize_scalar"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -270,9 +276,7 @@ def bm_distance_to_ball(K: BodyRef) -> float:
         return 0.5 * math.log(np.max(t2 / w + r2 * w) * np.max(s2 * w + psi2 / w))
 
     span = math.log(K.dim) + 1.5
-    res = minimize_scalar(ratio, bounds=(-span, span), method="bounded",
-                          options=dict(xatol=1e-12))
-    return float(res.fun)
+    return float(bodies.bounded_minimize(ratio, -span, span, 1e-12)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,8 @@ def spherical_cap_volume(n: int, h: float) -> float:
     for thin caps."""
     if not 0.0 <= h <= 1.0:
         raise ValueError("cap height must lie in [0, 1]")
+    from scipy.special import betainc
+
     return 0.5 * unit_ball_volume(n) * float(betainc((n + 1) / 2.0, 0.5, h * (2.0 - h)))
 
 
@@ -301,6 +307,8 @@ def cap_cut_body(n: int, eps: float,
         raise ValueError("cap volume must be nonnegative")
     if eps >= unit_ball_volume(n) / 2.0:
         raise DegenerateBodyError("cap volume this large degenerates the body")
+    from scipy.special import betaincinv
+
     x = float(betaincinv((n + 1) / 2.0, 0.5, 2.0 * eps / unit_ball_volume(n)))
     h = x / (1.0 + math.sqrt(1.0 - x))
     return bodies.revolution_from_function(
