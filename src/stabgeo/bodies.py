@@ -18,7 +18,7 @@ slope and ``upper_hull`` takes the least concave majorant of a point set.
 Their results are stored on their own vertices.  Polygon sums, profile sums
 and the 1-D concave max-plus share one merge, ``merge_indices``.
 All operations are pure functions of immutable inputs and are safe to share
-between concurrent tasks; Monte-Carlo estimation takes an explicit seed.
+between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class Ball:
 class ConvexPolygon:
     """Planar convex body given by its strictly convex ccw vertex cycle.
 
-    ``o_symmetric`` is read from the vertices: it holds when their count is
+    A given vertex where the cycle turns by zero, up to rounding, is
+    dropped.  ``o_symmetric`` is read from the vertices: it holds when their count is
     even and every -v lies within 1e-9 times the largest coordinate
     magnitude of a vertex.  Passing ``o_symmetric=True`` asserts it, and a
     cycle that is not o-symmetric then raises ``DegenerateBodyError``.
@@ -128,12 +129,19 @@ class ConvexPolygon:
             raise DegenerateBodyError("polygon needs at least 3 planar vertices")
         scale = float(np.max(np.abs(V))) or 1.0
         edges = _next_vertices(V) - V
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * scale):
+        length = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(length <= 1e-12 * scale):
             raise DegenerateBodyError("duplicate adjacent vertices")
         turn = _next_vertices(edges)
         cross = edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0]
         if np.any(cross <= -1e-9 * scale * scale):
             raise DegenerateBodyError("vertex cycle is not convex/counterclockwise")
+        # cross[k], the turn at V[k + 1], is rounded by a few units of 2^-52
+        # times the scale and the two edge lengths: a vertex that turns by no
+        # more is no corner of the body
+        flat = np.abs(cross) <= 1e-15 * scale * (length + _next_vertices(length))
+        if flat.any():
+            V = V[~_prev_vertices(flat)]
         if polygon_area(V) <= 1e-12 * scale * scale:
             raise DegenerateBodyError("polygon has (near) zero area")
         # an o-symmetric cycle pairs each vertex with its negative
@@ -223,10 +231,6 @@ class RevolutionBody:
     def alpha(self) -> float:
         return float(self.t[-1])
 
-    @property
-    def max_radius(self) -> float:
-        return float(np.max(self.radius))
-
     def radius_at(self, t) -> np.ndarray:
         """Meridian half-width at axis coordinate(s) t (0 outside)."""
         return np.interp(t, self.t, self.radius, left=0.0, right=0.0)
@@ -288,12 +292,6 @@ def as_revolution(K: BodyRef, samples=DEFAULT_PROFILE_SAMPLES) -> RevolutionBody
     if isinstance(K, Ball):
         return revolution_ball(K.dim, K.radius, samples)
     raise UnsupportedCombinationError(f"cannot view {type(K).__name__} as a body of revolution")
-
-
-def regular_polygon(sides, radius=1.0, phase=0.0) -> ConvexPolygon:
-    ang = phase + 2.0 * math.pi * np.arange(sides) / sides
-    V = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return ConvexPolygon(V)
 
 
 def random_revolution_body(dim, rng, samples=DEFAULT_PROFILE_SAMPLES, amplitude=1.0):
@@ -411,30 +409,8 @@ def _power_sums(a, b, n) -> np.ndarray:
     return s
 
 
-def support_function(K: BodyRef, w) -> float:
-    """sup over K of <x, w>.  For a revolution body this reduces to the 2-D
-    meridian support at (w_axis, |w_perp|)."""
-    w = np.asarray(w, dtype=float)
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        raise ValueError("support direction must be nonzero")
-    if isinstance(K, Ball):
-        if len(w) != K.dim:
-            raise ValueError(f"direction has dim {len(w)}, body has dim {K.dim}")
-        return K.radius * nw
-    if isinstance(K, ConvexPolygon):
-        if len(w) != 2:
-            raise ValueError("polygon supports need 2-D directions")
-        return float(np.max(K.vertices @ w))
-    if isinstance(K, RevolutionBody):
-        if len(w) != K.dim:
-            raise ValueError(f"direction has dim {len(w)}, body has dim {K.dim}")
-        wa = w[0]
-        wp = float(np.linalg.norm(w[1:]))
-        return float(np.max(K.t * wa + K.radius * wp))
-    raise UnsupportedCombinationError(f"support: unsupported body {type(K).__name__}")
-
-
+# nothing in the package calls this: perfbench's ``_stack_eq`` check reads it
+# and its tracer names it (ROADMAP item 1 drops both, and then this)
 def meridian_support(K: RevolutionBody, theta: np.ndarray) -> np.ndarray:
     """Support of the 2-D meridian at angles theta (sin(theta) >= 0)."""
     c = np.cos(theta)
@@ -543,7 +519,7 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
 
 
 # ---------------------------------------------------------------------------
-# symmetric difference, clipping, membership
+# symmetric difference and clipping
 # ---------------------------------------------------------------------------
 
 
@@ -598,10 +574,6 @@ def intersection_area(P, Q) -> float:
 def polygon_symmetric_difference(P: np.ndarray, Q: np.ndarray) -> float:
     """|P delta Q| = |P| + |Q| - 2 |P cap Q| for ccw vertex arrays."""
     return polygon_area(P) + polygon_area(Q) - 2.0 * intersection_area(P, Q)
-
-
-def translate_polygon(P: ConvexPolygon, x) -> ConvexPolygon:
-    return ConvexPolygon(P.vertices + np.asarray(x, float))
 
 
 def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
@@ -660,116 +632,6 @@ def _ends_closed(x, v, out=None) -> np.ndarray:
     if hi:
         out[lo + len(x)] = math.nextafter(x[-1], math.inf)
     return out[:lo + len(x) + hi]
-
-
-def contains_points(K: BodyRef, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership test (pts of shape (m, dim)).
-
-    A point counts as inside a polygon edge line when it lies at most 1e-14
-    times the larger of its own and the polygon's largest coordinate
-    magnitude outside it, as in ``clip_polygons``.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if isinstance(K, Ball):
-        return np.linalg.norm(pts, axis=1) <= K.radius
-    if isinstance(K, ConvexPolygon):
-        V = K.vertices
-        E = _next_vertices(V) - V
-        size = np.maximum(np.max(np.abs(pts), axis=1), np.max(np.abs(V)))
-        tol = -1e-14 * size[:, None] * np.hypot(E[:, 0], E[:, 1])[None, :]
-        rel = pts[:, None, :] - V[None, :, :]
-        cross = E[None, :, 0] * rel[:, :, 1] - E[None, :, 1] * rel[:, :, 0]
-        return np.all(cross >= tol, axis=1)
-    if isinstance(K, RevolutionBody):
-        ta = pts[:, 0]
-        rp = np.linalg.norm(pts[:, 1:], axis=1)
-        return (np.abs(ta) <= K.alpha) & (rp <= K.radius_at(ta))
-    raise UnsupportedCombinationError(f"membership: unsupported body {type(K).__name__}")
-
-
-def bounding_box(K: BodyRef):
-    if isinstance(K, Ball):
-        r = K.radius
-        return np.full(K.dim, -r), np.full(K.dim, r)
-    if isinstance(K, ConvexPolygon):
-        return K.vertices.min(axis=0), K.vertices.max(axis=0)
-    if isinstance(K, RevolutionBody):
-        r = K.max_radius
-        lo = np.concatenate([[K.t[0]], np.full(K.dim - 1, -r)])
-        hi = np.concatenate([[K.t[-1]], np.full(K.dim - 1, r)])
-        return lo, hi
-    raise UnsupportedCombinationError(f"bounding box: unsupported body {type(K).__name__}")
-
-
-def mc_volume(K: BodyRef, samples: int, seed: int):
-    """Monte-Carlo volume oracle: uniform rejection sampling in the bounding
-    box.  Returns (estimate, standard error); deterministic for a fixed seed."""
-    if samples < 1000:
-        raise ValueError("mc_volume needs at least 10^3 samples")
-    lo, hi = bounding_box(K)
-    box = float(np.prod(hi - lo))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    left = int(samples)
-    while left > 0:
-        m = min(left, 1 << 18)
-        pts = rng.uniform(lo, hi, size=(m, len(lo)))
-        hits += int(np.count_nonzero(contains_points(K, pts)))
-        left -= m
-    p = hits / samples
-    est = box * p
-    se = box * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
-    return est, se
-
-
-# ---------------------------------------------------------------------------
-# distances between bodies (test oracles)
-# ---------------------------------------------------------------------------
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * ab)))
-
-
-def _point_polygon_distance(p, P: ConvexPolygon) -> float:
-    if contains_points(P, p[None, :])[0]:
-        return 0.0
-    V = P.vertices
-    return min(
-        _point_segment_distance(p, V[k], V[(k + 1) % len(V)]) for k in range(len(V))
-    )
-
-
-def polygon_hausdorff(P: ConvexPolygon, Q: ConvexPolygon) -> float:
-    """Exact Hausdorff distance between convex polygons (max over vertices
-    of the distance to the other polygon)."""
-    d1 = max(_point_polygon_distance(v, Q) for v in P.vertices)
-    d2 = max(_point_polygon_distance(v, P) for v in Q.vertices)
-    return max(d1, d2)
-
-
-def support_hausdorff(K: BodyRef, C: BodyRef) -> float:
-    """Hausdorff distance via max support gap on a grid of 4096 angles
-    (coaxial revolution bodies and balls; sampled lower estimate of the
-    sup).  Ball supports are analytic, so a Ball operand enters exactly."""
-    directions = 4096
-    if isinstance(K, ConvexPolygon) or isinstance(C, ConvexPolygon):
-        theta = 2.0 * math.pi * np.arange(directions) / directions
-        W = np.column_stack([np.cos(theta), np.sin(theta)])
-        hK = np.array([support_function(K, w) for w in W])
-        hC = np.array([support_function(C, w) for w in W])
-        return float(np.max(np.abs(hK - hC)))
-    theta = (np.arange(directions) + 0.5) * math.pi / directions
-
-    def table(B):
-        if isinstance(B, Ball):
-            return np.full(directions, B.radius)
-        return meridian_support(B, theta)
-
-    return float(np.max(np.abs(table(K) - table(C))))
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,16 @@ class FitResult:
 def fit_exponent(points) -> FitResult:
     """Ordinary least squares of ln y against ln x.
 
-    Raises InvalidDataError for fewer than 3 points or any nonpositive
-    coordinate (which the log-log transform cannot represent).
+    Raises InvalidDataError for fewer than 3 points or any coordinate that
+    is not positive and finite (which the log-log transform cannot
+    represent).
     """
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise InvalidDataError(f"need at least 3 points to fit an exponent, got {len(pts)}")
     for x, y in pts:
-        if x <= 0 or y <= 0:
-            raise InvalidDataError(f"log-log fit needs positive data, got point ({x}, {y})")
+        if not (0 < x < math.inf and 0 < y < math.inf):
+            raise InvalidDataError(f"log-log fit needs positive finite data, got point ({x}, {y})")
     lx = np.log([p[0] for p in pts])
     ly = np.log([p[1] for p in pts])
     vx = float(np.var(lx))
@@ -170,6 +171,8 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in kv:
+            raise ConfigError(f"line {lineno}: {key} is set twice")
         kv[key] = val
     for key, val in overrides.items():
         if val is None:

@@ -41,12 +41,6 @@ def gamma_star(n: int) -> float:
     return float(((2.0 - 2.0 ** ((n - 1) / n)) ** 1.5 / (122.0 * n ** 7)) ** 2)
 
 
-def sigma_ratio(K: BodyRef, C: BodyRef) -> float:
-    """max(|C|/|K|, |K|/|C|) >= 1."""
-    vk, vc = volume(K), volume(C)
-    return max(vc / vk, vk / vc)
-
-
 # Newton steps allowed; from the centroid difference, random pairs and pairs
 # with parallel or nearly parallel edges take at most 8
 _NEWTON_CAP = 50

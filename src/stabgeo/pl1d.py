@@ -444,30 +444,26 @@ def _best_amplitude(f_part, g_part=None, work=None):
         al, be, ga, root = work(n + 1, 4)
         _on_intervals(c_const.take(order, out=t), al)
         c_slope = c_slope.take(order, out=t)
-        if g_part is None:
-            _on_intervals(c_slope, be)
-            cand, val = bp, np.multiply(be[1:], bp, out=c_const)
-            val += al[1:]
-        else:
-            of_f = order < n_f
-            split = c_const  # free once al is summed
-            np.copyto(split, 0.0)
-            np.copyto(split, c_slope, where=of_f)
-            _on_intervals(split, be)
-            np.copyto(split, c_slope)
-            np.copyto(split, 0.0, where=of_f)
-            _on_intervals(split, ga)
-            np.sqrt(np.divide(ga, be, out=root), out=root)
-            inside = (be > 0) & (ga > 0)
-            inside[1:] &= root[1:] > bp
-            inside[:-1] &= root[:-1] < bp
-            r = root[inside]
-            cand, val = work(n + len(r), 2)
-            cand[:n], cand[n:] = bp, r
-            v = np.multiply(be[1:], bp, out=val[:n])
-            v += al[1:]
-            v += np.divide(ga[1:], bp, out=t)
-            val[n:] = al[inside] + be[inside] * r + ga[inside] / r
+        # without g every term is of f, so gamma is 0 and no root is inside
+        of_f = order < n_f
+        split = c_const  # free once al is summed
+        np.copyto(split, 0.0)
+        np.copyto(split, c_slope, where=of_f)
+        _on_intervals(split, be)
+        np.copyto(split, c_slope)
+        np.copyto(split, 0.0, where=of_f)
+        _on_intervals(split, ga)
+        np.sqrt(np.divide(ga, be, out=root), out=root)
+        inside = (be > 0) & (ga > 0)
+        inside[1:] &= root[1:] > bp
+        inside[:-1] &= root[:-1] < bp
+        r = root[inside]
+        cand, val = work(n + len(r), 2)
+        cand[:n], cand[n:] = bp, r
+        v = np.multiply(be[1:], bp, out=val[:n])
+        v += al[1:]
+        v += np.divide(ga[1:], bp, out=t)
+        val[n:] = al[inside] + be[inside] * r + ga[inside] / r
         ok = (cand > 0) & (cand < np.inf) & (val < np.inf)
     if ok.any():
         # the first least value among the admissible candidates

@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 
-from conftest import random_decreasing_logconcave, random_logconcave_pair
+from conftest import (
+    hausdorff,
+    mc_volume,
+    random_decreasing_logconcave,
+    random_logconcave_pair,
+    unit_square,
+)
 from stabgeo import bodies, experiments, fmp, pl1d, pln, polarity
 from stabgeo.bodies import Ball, ConvexPolygon, revolution_ball, revolution_cylinder
 
@@ -20,11 +26,6 @@ from stabgeo.bodies import Ball, ConvexPolygon, revolution_ball, revolution_cyli
 def _report(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, detail
-
-
-def unit_square():
-    return ConvexPolygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
-                         o_symmetric=True)
 
 
 def test_criterion_1_inequality_directions():
@@ -111,19 +112,15 @@ def test_criterion_2_equality_cases():
     # f = g log-concave: minimal midpoint stack reproduces f
     st = pln.gaussian_stack(3, level_count=48, samples=257)
     m = pln.minimal_midpoint_stack(st, st)
-    theta = (np.arange(64) + 0.5) * math.pi / 64
-    sup_gap = 0.0
-    for bf, bm in zip(st.bodies, m.bodies):
-        hf = bodies.meridian_support(bf, theta)
-        hm = bodies.meridian_support(bm, theta)
-        sup_gap = max(sup_gap, float(np.max(np.abs(hf - hm)) / np.max(hf)))
+    gap = max(hausdorff(bm, bf) / float(np.max(np.hypot(bf.t, bf.radius)))
+              for bf, bm in zip(st.bodies, m.bodies))
 
     ok = (pl_eq <= 1e-8 and bs_eq <= 1e-6 and max(fmp_gaps) <= 1e-6
-          and sup_gap <= 1e-7)
+          and gap <= 1e-7)
     _report(2, ok,
             f"Gaussian PL deficit {pl_eq:.2e} (<= 1e-8), ball BS deficit "
             f"{bs_eq:.2e} (<= 1e-6), K=C FMP gap {max(fmp_gaps):.2e} (<= 1e-6), "
-            f"midpoint=f support gap {sup_gap:.2e}")
+            f"midpoint=f Hausdorff gap {gap:.2e} circumradii (<= 1e-7)")
 
 
 def test_criterion_3_cap_cut_exponent():
@@ -182,7 +179,7 @@ def test_criterion_5_oracles():
     mc_ok = True
     worst_pull = 0.0
     for i, K in enumerate(battery):
-        est, se = bodies.mc_volume(K, 10 ** 6, seed=1000 + i)
+        est, se = mc_volume(K, 10 ** 6, seed=1000 + i)
         gap = abs(est - bodies.volume(K))
         # se = 0 happens when the bounding box equals the body (a box)
         pull = gap / se if se > 0 else (0.0 if gap <= 1e-12 else math.inf)
@@ -201,7 +198,7 @@ def test_criterion_5_oracles():
         P = bodies.random_o_symmetric_polygon(rng)
         PP = polarity.polar(polarity.polar(P))
         diamP = float(np.ptp(P.vertices))
-        worst_inv = max(worst_inv, bodies.polygon_hausdorff(PP, P) / diamP)
+        worst_inv = max(worst_inv, hausdorff(PP, P) / diamP)
 
     ok = mc_ok and santalo_err <= 1e-3 and worst_inv <= 1e-9
     _report(5, ok,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import regular_polygon
 from stabgeo import bodies, experiments, fileio, pl1d, pln
 from stabgeo.cli import _build_parser, main, scan_option
 from stabgeo.errors import ConfigError
@@ -83,7 +84,7 @@ def test_interrupted_save_keeps_previous_file(tmp_path, disk_full, save):
     out = tmp_path / "body.csv"
     out.write_bytes(b"old\n")
     obj = {"profile": bodies.revolution_ball(3, 1.0, 9),
-           "polygon": bodies.regular_polygon(6),
+           "polygon": regular_polygon(6),
            "gridfn": pl1d.GridFn1D(np.linspace(0.0, 1.0, 9), np.ones(9))}[save]
     with pytest.raises(OSError):
         getattr(fileio, f"save_{save}")(str(out), obj)
@@ -123,6 +124,11 @@ def test_cli_santalo_profile(ball_file, capsys):
 
 def test_cli_body_kind_and_symmetry_come_from_the_file(tmp_path, square_file, capsys):
     assert main(["santalo", "--body", square_file]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,4,2,8,0.233700550136"
+    # a vertex 5e-12 from a corner, on the top edge, is no corner
+    flat = tmp_path / "flat.csv"
+    flat.write_text("x,y\n-1,-1\n1,-1\n1,1\n0.999999999995,1\n-1,1\n")
+    assert main(["santalo", "--body", str(flat)]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0,0,4,2,8,0.233700550136"
     triangle = tmp_path / "triangle.csv"
     triangle.write_text("x,y\n0,0\n2,0\n0,1\n")

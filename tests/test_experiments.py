@@ -37,6 +37,11 @@ def test_fit_exponent_errors():
         ex.fit_exponent([(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(InvalidDataError, match=r"\(2.0, -1.0\)"):
         ex.fit_exponent([(1.0, 1.0), (2.0, -1.0), (3.0, 2.0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDataError, match="finite"):
+            ex.fit_exponent([(1.0, 1.0), (2.0, bad), (3.0, 2.0)])
+        with pytest.raises(InvalidDataError, match="finite"):
+            ex.fit_exponent([(1.0, 1.0), (bad, 2.0), (3.0, 2.0)])
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,6 +90,11 @@ def test_config_validation_errors(tmp_path):
         ex.parse_config_text("experiment=bs-scan\ngrid=1.5")
     with pytest.raises(ConfigError):
         ex.parse_config_text("experiment=pl-scan\ngrid=0.1\nfamily=unheard-of")
+    text = "experiment=cap-scan\ngrid=1e-3,1e-2\ndim=2\n# again\ndim=3\n"
+    with pytest.raises(ConfigError, match="line 5: dim is set twice"):
+        ex.parse_config_text(text)
+    # an option still overrides the config's value
+    assert ex.parse_config_text(text.replace("dim=3\n", ""), dim="3").dim == 3
 
 
 def test_bad_config_never_writes_output(tmp_path):

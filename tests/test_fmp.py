@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conftest import bounding_box, contains_points, translate_polygon, unit_square
 from stabgeo import bodies, fmp
 from stabgeo.bodies import Ball, ConvexPolygon, revolution_cylinder, volume
 from stabgeo.errors import ConvergenceError, UnsupportedCombinationError
-from stabgeo.fmp import fmp_bound_check, gamma_star, homothetic_distance, sigma_ratio
+from stabgeo.fmp import fmp_bound_check, gamma_star, homothetic_distance
 
 # frozen by direct evaluation of ((2 - 2^((n-1)/n))^(3/2) / (122 n^7))^2,
 # cross-checked against a 30-digit mpmath evaluation
 GAMMA_STAR_1 = 6.718624025799517e-05   # = 122^-2
 GAMMA_STAR_2 = 8.242867841740335e-10
 GAMMA_STAR_3 = 9.866590906471668e-13
-
-
-def unit_square():
-    return ConvexPolygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
-                         o_symmetric=True)
 
 
 def test_gamma_star_frozen_values():
@@ -38,8 +34,8 @@ def test_gamma_star_invalid_dim():
 
 def test_sigma_symmetry_and_floor():
     K, C = Ball(3, 1.0), Ball(3, 2.0)
-    assert sigma_ratio(K, C) == sigma_ratio(C, K) == 8.0
-    assert sigma_ratio(K, K) == 1.0
+    assert fmp_bound_check(K, C).sigma == fmp_bound_check(C, K).sigma == 8.0
+    assert fmp_bound_check(K, K).sigma == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +69,13 @@ def test_homothetic_ball_vs_cylinder_mc_crosscheck():
     nK = bodies.as_revolution(bodies.scale(Ball(3, 1.0), volume(Ball(3, 1.0)) ** (-1 / 3)), 2049)
     nC = bodies.scale(cyl, volume(cyl) ** (-1 / 3))
     rng = np.random.default_rng(123)
-    lo, hi = bodies.bounding_box(nC)
-    lo2, hi2 = bodies.bounding_box(nK)
+    lo, hi = bounding_box(nC)
+    lo2, hi2 = bounding_box(nK)
     lo, hi = np.minimum(lo, lo2), np.maximum(hi, hi2)
     n_samples = 10 ** 6
     pts = rng.uniform(lo, hi, size=(n_samples, 3))
-    inK = bodies.contains_points(nK, pts)
-    inC = bodies.contains_points(nC, pts)
+    inK = contains_points(nK, pts)
+    inC = contains_points(nC, pts)
     p = float(np.count_nonzero(inK ^ inC)) / n_samples
     box = float(np.prod(hi - lo))
     mc = box * p
@@ -91,7 +87,7 @@ def test_homothetic_translation_search_polygons():
     # shifted copies of the same polygon are homothetic: A = 0
     rng = np.random.default_rng(1)
     K = bodies.random_polygon(rng)
-    C = bodies.translate_polygon(K, [0.7, -0.4])
+    C = translate_polygon(K, [0.7, -0.4])
     assert homothetic_distance(K, C) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -104,7 +100,7 @@ def _simplex_homothetic(K, C):
     diam = max(np.ptp(nK.vertices), np.ptp(nC.vertices))
 
     def neg_overlap(x):
-        return -bodies.intersection_area(nK, bodies.translate_polygon(nC, x))
+        return -bodies.intersection_area(nK, translate_polygon(nC, x))
 
     x0 = bodies.polygon_centroid(nK.vertices) - bodies.polygon_centroid(nC.vertices)
     res = minimize(neg_overlap, x0, method="Nelder-Mead",
@@ -144,7 +140,7 @@ def test_homothetic_translated_copy_kinks_at_zero(shift):
     rng = np.random.default_rng(1)
     for points in (3, 5, 12):
         K = bodies.random_polygon(rng, points=points)
-        assert homothetic_distance(K, bodies.translate_polygon(K, shift)) <= 1e-12
+        assert homothetic_distance(K, translate_polygon(K, shift)) <= 1e-12
 
 
 def test_homothetic_crossed_rectangles_flat_maximum():
@@ -234,8 +230,8 @@ def test_homothetic_step_budget_carries_best(monkeypatch):
     nC = bodies.scale(C, volume(C) ** -0.5)
     x0 = bodies.polygon_centroid(nK.vertices) - bodies.polygon_centroid(nC.vertices)
     best = info.value.best
-    assert bodies.intersection_area(nK, bodies.translate_polygon(nC, best)) > \
-        bodies.intersection_area(nK, bodies.translate_polygon(nC, x0))
+    assert bodies.intersection_area(nK, translate_polygon(nC, best)) > \
+        bodies.intersection_area(nK, translate_polygon(nC, x0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
+from conftest import contains_points, hausdorff, support_function, unit_square
 from stabgeo import bodies, polarity
 from stabgeo.bodies import Ball, ConvexPolygon, revolution_ball, revolution_cylinder, volume
 from stabgeo.errors import ConvergenceError, DegenerateBodyError, InvalidCenterError
@@ -18,11 +19,6 @@ from stabgeo.polarity import (
 
 LN_SQRT2 = 0.5 * math.log(2.0)
 SQUARE_DEFICIT = math.pi ** 2 / 8.0 - 1.0  # |K| = 4, |K^o| = 2, kappa_2^2 = pi^2
-
-
-def unit_square():
-    return ConvexPolygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
-                         o_symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +60,15 @@ def test_polar_involution_polygons():
         K = bodies.random_o_symmetric_polygon(rng)
         KK = polar(polar(K))
         diam = np.ptp(K.vertices)
-        assert bodies.polygon_hausdorff(KK, K) <= 1e-9 * diam
+        assert hausdorff(KK, K) <= 1e-9 * diam
 
 
-def test_polar_involution_revolution_grid_tol():
+def test_polar_involution_revolution():
     rng = np.random.default_rng(1)
     for _ in range(5):
         K = bodies.random_revolution_body(3, rng, samples=2049)
         KK = polar(polar(K))
-        assert bodies.support_hausdorff(KK, K) <= 1e-3 * (2.0 * K.alpha)
+        assert hausdorff(KK, K) <= 1e-12 * (2.0 * K.alpha)
 
 
 def _polar_profile_bruteforce(t, r, s_grid):
@@ -108,7 +104,20 @@ def test_polar_inclusion_reversal():
         C = bodies.scale(K, 1.3)  # K subset C
         pK, pC = polar(K), polar(C)
         for w in W:
-            assert bodies.support_function(pC, w) <= bodies.support_function(pK, w) + 1e-12
+            assert support_function(pC, w) <= support_function(pK, w) + 1e-12
+
+
+@pytest.mark.parametrize("e", [1e-3, 1e-6, 5e-12])
+def test_flat_vertex_is_no_corner(e):
+    # a vertex on the square's top edge would give the polar two equal
+    # vertices and the Santalo search a flat direction
+    K = ConvexPolygon(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [1.0 - e, 1.0],
+                                [-1.0, 1.0]]))
+    assert len(K.vertices) == 4 and K.o_symmetric
+    assert volume(polar(K)) == 2.0
+    res = santalo_point(K)
+    assert res.point.tolist() == [0.0, 0.0]
+    assert res.bs_deficit == SQUARE_DEFICIT
 
 
 def test_polar_center_outside_rejected():
@@ -152,7 +161,7 @@ def _grid_search_oracle(K, n_grid=200):
     ys = np.linspace(lo[1], hi[1], n_grid + 2)[1:-1]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     Z = np.column_stack([X.ravel(), Y.ravel()])
-    inside = bodies.contains_points(K, Z)
+    inside = contains_points(K, Z)
     # shrink towards the centroid slightly so every candidate is strictly interior
     c = bodies.polygon_centroid(V)
     Z = c + (Z[inside] - c) * (1.0 - 1e-9)
@@ -173,7 +182,7 @@ def _grid_search_oracle(K, n_grid=200):
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             z = z0 + hstep * np.array([dx, dy])
-            if not bodies.contains_points(K, z[None, :])[0]:
+            if not contains_points(K, z[None, :])[0]:
                 continue
             pts.append(z)
             vals.append(volume(polar(K, z)))
@@ -464,7 +473,7 @@ def test_cap_cut_zero_is_ball():
     # the stored body is the sample hull; its Hausdorff gap to the exact
     # ball is the pole-chord sagitta ~ 1/(2 (samples - 1))
     K = cap_cut_body(3, 0.0, samples=8193)
-    assert bodies.support_hausdorff(K, Ball(3, 1.0)) <= 1e-4
+    assert hausdorff(K, Ball(3, 1.0)) <= 1e-4
 
 
 def test_cap_cut_root_recovery():
