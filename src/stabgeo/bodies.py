@@ -13,10 +13,11 @@ hyperplane sections orthogonal to the axis are (n-1)-dimensional balls, so
 volumes and symmetric differences are exact sums of frusta, and support
 functions reduce to the 2-D meridian support.  The meridian is itself a
 convex polygon, so coaxial Minkowski sums, polars and convex hulls are exact
-operations on its vertices: ``profile_sum`` merges two profiles' edges by
-slope and ``upper_hull`` takes the least concave majorant of a point set.
-Their results are stored on their own vertices.  Polygon sums, profile sums
-and the 1-D concave max-plus share one merge, ``merge_indices``.
+operations on its vertices: ``profile_sums`` merges the edges of pairs of
+profiles by slope, many pairs at once (``profile_sum`` is one pair), and
+``upper_hull`` takes the least concave majorant of a point set.  Their
+results are stored on their own vertices.  Polygon sums, profile sums and
+the 1-D concave max-plus share one merge, ``merge_indices``.
 All operations are pure functions of immutable inputs and are safe to share
 between concurrent tasks.
 """
@@ -54,11 +55,7 @@ def upper_hull(t, v):
     concave profiles settle after a pass or two; inputs that keep shrinking
     are finished by a monotone chain over the survivors.
     """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(v, dtype=float)
-    order = np.lexsort((v, t))
-    top = np.append(np.diff(t[order]) > 0, True)  # highest point per abscissa
-    t, v = t[order][top], v[order][top]
+    t, v = _highest_per_abscissa(np.asarray(t, dtype=float), np.asarray(v, dtype=float))
     for _ in range(_HULL_PASSES):
         above = (t[1:-1] - t[:-2]) * (v[2:] - v[:-2]) < (v[1:-1] - v[:-2]) * (t[2:] - t[:-2])
         if above.all():
@@ -72,6 +69,26 @@ def upper_hull(t, v):
             hull.pop()
         hull.append(p)
     return np.array([p[0] for p in hull]), np.array([p[1] for p in hull])
+
+
+def _highest_per_abscissa(t, v):
+    """The points sorted by t, with only the highest point of each abscissa.
+
+    Equal floats differ at most in the sign of a zero, so where the abscissa
+    or the top is a zero the point kept is the last of the highest ones,
+    the point a (t, v) lexsort keeps."""
+    order = np.argsort(t, kind="stable")
+    t, v = t[order], v[order]
+    first = np.flatnonzero(np.append(True, t[1:] > t[:-1]))
+    if len(first) == len(t):
+        return t, v
+    end = np.append(first[1:], len(t))
+    top = np.maximum.reduceat(v, first)
+    runs = np.flatnonzero(end - first > 1)
+    for k in runs[(t[first[runs]] == 0.0) | (top[runs] == 0.0)].tolist():
+        last = end[k] - 1 - int(np.argmax(v[first[k]:end[k]][::-1] == top[k]))
+        t[first[k]], top[k] = t[last], v[last]
+    return t[first], top
 
 
 def concave_majorant(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -196,33 +213,36 @@ class RevolutionBody:
             raise DegenerateBodyError(f"revolution body needs dim >= 2, got {self.dim}")
         if t.ndim != 1 or t.shape != r.shape:
             raise DegenerateBodyError("profile needs matching 1-D grids")
-        dt = np.diff(t)
-        if np.any(dt < 0):
+        dt = t[1:] - t[:-1]
+        # fmin skips NaN steps, as a comparison with each step does
+        step = np.fmin.reduce(dt, initial=np.inf)
+        if step < 0:
             raise DegenerateBodyError("axis grid must be increasing")
-        if np.any(dt == 0):
+        if step == 0:
             first = np.flatnonzero(np.append(True, dt > 0))
             t, r = t[first], np.maximum.reduceat(r, first)
-            dt = np.diff(t)
+            dt = t[1:] - t[:-1]
         if len(t) < 2:
             raise DegenerateBodyError("profile needs at least 2 distinct abscissae")
-        scale = float(np.max(np.abs(r)))
-        if not np.all(np.isfinite(r)) or scale <= 0:
+        lo, hi = float(r.min()), float(r.max())
+        scale = max(hi, -lo)
+        if not (math.isfinite(lo) and math.isfinite(hi) and scale > 0):
             raise DegenerateBodyError("profile must be finite with nonempty interior")
-        if np.min(r) < -1e-12 * scale:
+        if lo < -1e-12 * scale:
             raise DegenerateBodyError("profile has negative radii")
         r = np.maximum(r, 0.0)
-        alpha = max(abs(t[0]), abs(t[-1]))
-        if abs(t[0] + t[-1]) > 1e-9 * alpha:
+        t0, t1 = float(t[0]), float(t[-1])
+        if abs(t0 + t1) > 1e-9 * max(abs(t0), abs(t1)):
             raise DegenerateBodyError("axis grid is not symmetric about 0")
-        mirrored = np.interp(-t, t, r)
-        if np.max(np.abs(mirrored - r)) > 1e-7 * scale:
+        if np.abs(np.interp(-t, t, r) - r).max() > 1e-7 * scale:
             raise DegenerateBodyError("profile is not even (body not o-symmetric)")
         pos = np.flatnonzero(r > 1e-12 * scale)  # nonempty: max|r| is a radius
-        if np.any(r[pos[0]:pos[-1] + 1] <= 1e-12 * scale):
+        if pos[-1] - pos[0] >= len(pos):
             raise DegenerateBodyError("profile has interior zeros; body must be connected")
         # height of each inner vertex below the chord through its neighbours
-        dip = np.diff(np.diff(r) / dt) * (dt[:-1] * dt[1:] / (dt[:-1] + dt[1:]))
-        if np.max(dip, initial=0.0) > 2e-9 * scale:
+        slope = (r[1:] - r[:-1]) / dt
+        dip = (slope[1:] - slope[:-1]) * (dt[:-1] * dt[1:] / (dt[:-1] + dt[1:]))
+        if dip.max(initial=0.0) > 2e-9 * scale:
             raise DegenerateBodyError("profile is not concave within tolerance")
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "radius", _readonly(r))
@@ -443,14 +463,16 @@ def dilate_axis(K: RevolutionBody, factor: float) -> RevolutionBody:
 
 
 def merge_indices(order, n_a):
-    """Vertex index pairs (i, j) of a merged edge chain.
+    """Vertex index pairs (i, j) of merged edge chains, one per row of
+    ``order``.
 
     ``order`` lists the edges of two chains in merged order, those of A
     numbered 0 .. n_a - 1 and those of B from n_a on; vertex k of the merged
     chain, after its first k edges, is vertex i[k] of A plus vertex j[k] of B.
     """
-    i = np.concatenate(([0], np.cumsum(order < n_a)))
-    return i, np.arange(len(i)) - i
+    i = np.zeros(order.shape[:-1] + (order.shape[-1] + 1,), dtype=np.intp)
+    np.cumsum(order < n_a, axis=-1, out=i[..., 1:])
+    return i, np.arange(i.shape[-1]) - i
 
 
 def _polygon_minkowski_sum(P: ConvexPolygon, Q: ConvexPolygon) -> np.ndarray:
@@ -480,19 +502,55 @@ def _polygon_minkowski_sum(P: ConvexPolygon, Q: ConvexPolygon) -> np.ndarray:
     return VP[i[:-1][keep] % len(VP)] + VQ[j[:-1][keep] % len(VQ)]
 
 
-def profile_sum(K: RevolutionBody, C: RevolutionBody):
-    """Vertices (t, r) of the meridian profile of K + C.
+def profile_table(profiles):
+    """Meridian vertices and edge keys of revolution bodies, one row each:
+    arrays ``(t, radius, key)``, where ``key`` holds the negated edge
+    slopes, the merge order of ``profile_sums``.  A body with fewer vertices
+    than the longest repeats its last vertex, and its missing edges have key
+    +inf: they merge after every real edge and add no new point."""
+    sizes = np.array([len(K.t) for K in profiles])
+    n = int(sizes.max())
+    cols = np.minimum(np.arange(n), sizes[:, None] - 1) + (np.cumsum(sizes) - sizes)[:, None]
+    t = np.concatenate([K.t for K in profiles])[cols]
+    r = np.concatenate([K.radius for K in profiles])[cols]
+    key = np.full((len(sizes), n - 1), np.inf)
+    np.divide(r[:, :-1] - r[:, 1:], t[:, 1:] - t[:, :-1], out=key,
+              where=np.arange(n - 1) < sizes[:, None] - 1)
+    return t, r, key
+
+
+def profile_sums(A, rows_a, B, rows_b):
+    """Vertices (t, r) of the meridian profiles of K_p + C_p, one row per p,
+    where K_p is row ``rows_a[p]`` of the ``profile_table`` A and C_p row
+    ``rows_b[p]`` of B.
 
     The profile of a coaxial sum is the sup-convolution of the two concave
-    profiles: starting from the sum of the left ends, the sample edges of
-    both are merged by decreasing slope, so each output vertex is a sum of
-    one vertex of K and one of C.  The inputs are validated as concave, so
-    their raw edges are merged without re-hulling.
+    profiles: starting from the sum of the left ends, the edges of both are
+    merged by decreasing slope, so each output vertex is a sum of one vertex
+    of K_p and one of C_p.  A stable sort of each row's keys is the unique
+    permutation that puts K_p's edges first among equal slopes, so a row's
+    vertices are those of ``profile_sum(K_p, C_p)``, followed by copies of
+    its last vertex where the rows are padded.  The bodies are validated as
+    concave, so their raw edges are merged without re-hulling.
     """
-    slopes = np.concatenate([np.diff(K.radius) / np.diff(K.t),
-                             np.diff(C.radius) / np.diff(C.t)])
-    i, j = merge_indices(np.argsort(-slopes, kind="stable"), len(K.t) - 1)
-    return K.t[i] + C.t[j], K.radius[i] + C.radius[j]
+    ta, ra, ka = A
+    tb, rb, kb = B
+    a, b = np.asarray(rows_a), np.asarray(rows_b)
+    i, j = merge_indices(np.argsort(np.concatenate((ka[a], kb[b]), axis=1), axis=1,
+                                    kind="stable"), ka.shape[1])
+    i += a[:, None] * ta.shape[1]  # flat indices into the tables
+    j += b[:, None] * tb.shape[1]
+    ts, rs = ta.take(i), ra.take(i)
+    ts += tb.take(j)
+    rs += rb.take(j)
+    return ts, rs
+
+
+def profile_sum(K: RevolutionBody, C: RevolutionBody):
+    """Vertices (t, r) of the meridian profile of K + C: the one-row case of
+    ``profile_sums``."""
+    ts, rs = profile_sums(profile_table((K,)), [0], profile_table((C,)), [0])
+    return ts[0], rs[0]
 
 
 def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:

@@ -7,9 +7,11 @@ are exact layer-cake sums.  ``minimal_midpoint_stack`` builds the smallest
 stack m with m((x+y)/2) >= sqrt(f(x) g(y)), each product rounded down to
 the output height grid, level by level, as the convex hull of Minkowski
 midpoints of all level-body pairs whose heights multiply to at least the
-squared output level, and ``pl_trace`` follows the resulting deficit
-through the rescaled level bodies, the (alpha, beta, sigma, eta) profile
-quantities, the I/J level dissection and the L1 distances.
+squared output level: the pairs of a level are merged in one batched
+profile sum over per-call tables of the two stacks' edges.  ``pl_trace``
+follows the resulting deficit through the rescaled level bodies, the
+(alpha, beta, sigma, eta) profile quantities, the I/J level dissection and
+the L1 distances.
 """
 
 from __future__ import annotations
@@ -197,9 +199,15 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
     are nested, only the largest such j for each i matters, and among the
     i sharing that j only the largest i; both are read off one sorted
     lookup of u^2 / f_i in the g heights.  The hull is exact on meridian
-    profiles: the upper hull of the halved ``profile_sum`` vertices of the
+    profiles: the upper hull of the halved profile-sum vertices of the
     kept pairs and of the previous (higher) level's hull, which keeps the
     levels nested.  Each level body is stored on the vertices of its hull.
+
+    Each call builds one ``profile_table`` per input stack; each level
+    merges all its kept pairs in one ``profile_sums`` call, whose rows are
+    bit for bit the pairs' ``profile_sum`` vertices (padded rows repeat
+    their last vertex, which leaves the hull unchanged), and takes one
+    ``upper_hull``.
     """
     if f.dim != g.dim:
         raise UnsupportedCombinationError("midpoint stack across dimensions")
@@ -217,15 +225,14 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
     if not keep[0].any():
         raise EmptyFunctionError("the top midpoint level has no valid pair")
 
+    A, B = _bodies.profile_table(f.bodies), _bodies.profile_table(g.bodies)
     out_bodies = []
     hull = (np.empty(0), np.empty(0))
     for J_k, keep_k in zip(J, keep):
-        sums = [_bodies.profile_sum(f.bodies[i], g.bodies[J_k[i]])
-                for i in np.flatnonzero(keep_k)]
-        hull = _bodies.upper_hull(
-            np.concatenate([0.5 * ts for ts, _ in sums] + [hull[0]]),
-            np.concatenate([0.5 * rs for _, rs in sums] + [hull[1]]),
-        )
+        i = np.flatnonzero(keep_k)
+        ts, rs = _bodies.profile_sums(A, i, B, J_k[i])
+        hull = _bodies.upper_hull(np.concatenate((0.5 * ts.ravel(), hull[0])),
+                                  np.concatenate((0.5 * rs.ravel(), hull[1])))
         out_bodies.append(RevolutionBody(dim, *hull))
     return LevelStack(dim, u, tuple(out_bodies))
 
@@ -233,14 +240,17 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
 def containment_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
     """Largest reach of a midpoint (F_i + G_j)/2 outside the m-body at u,
     over the output levels u of m and every pair with f_i g_j >= u^2, or 0.
-    Exact: the reach is the ``_excess`` of the halved ``profile_sum``
-    vertices, and the m-bodies are convex.  A minimal midpoint stack reads
-    0 up to rounding."""
+    Exact: the reach is the ``_excess`` of the halved profile-sum vertices
+    of all pairs of a level, merged in one ``profile_sums`` call, and the
+    m-bodies are convex.  A minimal midpoint stack reads 0 up to
+    rounding."""
+    A, B = _bodies.profile_table(f.bodies), _bodies.profile_table(g.bodies)
     worst = 0.0
     for u, body in zip(m.levels, m.bodies):
         J = g.body_index_at(u * u / f.levels)
-        for i in np.flatnonzero(J >= 0):
-            ts, rs = _bodies.profile_sum(f.bodies[i], g.bodies[J[i]])
+        i = np.flatnonzero(J >= 0)
+        if len(i):
+            ts, rs = _bodies.profile_sums(A, i, B, J[i])
             worst = max(worst, _excess(0.5 * ts, 0.5 * rs, body))
     return worst
 

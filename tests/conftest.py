@@ -8,7 +8,10 @@ deficit below the discretization floor of the midpoint construction.
 
 The geometry oracles (support values, membership, Monte-Carlo volume and
 the exact Hausdorff distance) work from the stored vertices alone and share
-no code with the package's sums, polars and volumes that they check.
+no code with the package's sums, polars and volumes that they check.  The
+per-pair profile merge and the lexsort selection of the highest point per
+abscissa are the reference forms of ``bodies.profile_sums`` and of the
+first step of ``bodies.upper_hull``.
 """
 
 import math
@@ -16,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from stabgeo import fileio, pl1d
+from stabgeo import bodies, fileio, pl1d
 from stabgeo.bodies import Ball, ConvexPolygon
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -168,6 +171,28 @@ def meridian_polygon(K):
     if K.radius[0] == 0.0:
         lower = lower[1:]
     return np.vstack([upper, lower])
+
+
+def profile_sum_merge(K, C):
+    """Vertices (t, r) of the meridian profile of K + C, by a sort of the
+    two bodies' edge slopes in one array, K's edges first among equal
+    slopes."""
+    slopes = np.concatenate([np.diff(K.radius) / np.diff(K.t), np.diff(C.radius) / np.diff(C.t)])
+    order = np.argsort(-slopes, kind="stable")
+    i = np.concatenate(([0], np.cumsum(order < len(K.t) - 1)))
+    j = np.arange(len(i)) - i
+    return K.t[i] + C.t[j], K.radius[i] + C.radius[j]
+
+
+def upper_hull_lexsort(t, v):
+    """``bodies.upper_hull`` after a (t, v) lexsort picks the highest point
+    per abscissa, the last of them where several are equal: on distinct
+    sorted abscissae the hull keeps its input order."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    order = np.lexsort((v, t))
+    top = np.append(np.diff(t[order]) > 0, True)
+    return bodies.upper_hull(t[order][top], v[order][top])
 
 
 def _segment_distances(V, A, E):

@@ -10,13 +10,15 @@ from conftest import (
     hausdorff,
     mc_volume,
     meridian_polygon,
+    profile_sum_merge,
     regular_polygon,
     support_function,
     translate_polygon,
     unit_square,
+    upper_hull_lexsort,
     vertex_distances,
 )
-from stabgeo import bodies
+from stabgeo import bodies, pln
 from stabgeo.bodies import (
     Ball,
     ConvexPolygon,
@@ -252,6 +254,33 @@ def test_profile_sum_matches_polygon_edge_merge():
         assert np.max(np.abs(np.interp(ts, top[:, 0], top[:, 1]) - rs)) <= 1e-12 * scale
 
 
+def test_profile_sums_rows_are_the_pairwise_merges():
+    # bodies of 9 to 65 vertices, so most rows are padded; tied slopes on the
+    # cylinders' flat tops and in every self-pair; a midpoint stack's own
+    # levels, which have more vertices than its inputs; and one table merged
+    # with itself
+    st = pln.gaussian_stack(3, level_count=6, samples=33)
+    m = pln.minimal_midpoint_stack(st, st)
+    left = [revolution_ball(3, 1.0, 9), revolution_ball(3, 2.0, 17),
+            revolution_cylinder(3, 1.0, 0.5, 9), revolution_cylinder(3, 0.5, 1.0, 17),
+            *st.bodies, *m.bodies]
+    right = left[::-1] + [bodies.random_revolution_body(3, np.random.default_rng(24), 65)]
+    assert len({len(K.t) for K in left}) > 4
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(len(left)), np.arange(len(right)),
+                                           indexing="ij"))
+    for A, B, rows in ((left, right, j), (left, left, np.flip(i))):
+        ts, rs = bodies.profile_sums(bodies.profile_table(A), i, bodies.profile_table(B), rows)
+        assert ts.shape[1] == max(len(K.t) for K in A) + max(len(C.t) for C in B) - 1
+        for p, (K, C) in enumerate(zip((A[k] for k in i), (B[k] for k in rows))):
+            et, er = profile_sum_merge(K, C)
+            n = len(et)
+            assert (0.5 * ts[p, :n]).tobytes() == (0.5 * et).tobytes()
+            assert (0.5 * rs[p, :n]).tobytes() == (0.5 * er).tobytes()
+            assert np.all(ts[p, n:] == et[-1]) and np.all(rs[p, n:] == er[-1])
+            pt, pr = bodies.profile_sum(K, C)
+            assert pt.tobytes() == et.tobytes() and pr.tobytes() == er.tobytes()
+
+
 def _edge_merge_loop(P, Q):
     """The edge-by-edge merge loop for P + Q (oracle): vertices from the sum
     of the lowest (then leftmost) vertices as a running sum of edges, with a
@@ -340,6 +369,31 @@ def test_upper_hull_matches_bruteforce():
         assert ht[0] == t.min() and ht[-1] == t.max()
         x = np.unique(t)
         assert np.max(np.abs(np.interp(x, ht, hv) - _majorant_bruteforce(t, v, x))) <= 1e-12
+
+
+def test_upper_hull_keeps_the_lexsort_selection():
+    rng = np.random.default_rng(23)
+    clouds = []
+    for _ in range(300):
+        k = int(rng.integers(1, 200))
+        # few distinct values: long runs of one abscissa, duplicate (t, v)
+        # points, and zeros of both signs as abscissae and as the highest point
+        d = int(rng.integers(1, 4))
+        t = rng.integers(-d, d + 1, size=k) * 1.0
+        v = rng.integers(-2, 1 + 2 * (d > 1), size=k) * float(rng.choice([1.0, 0.5]))
+        t[rng.random(k) < 0.2] = -0.0
+        v[rng.random(k) < 0.2] = -0.0
+        clouds.append((t, v))
+    for _ in range(30):
+        k = int(rng.integers(3, 400))
+        clouds.append((np.round(rng.normal(size=k), 1), rng.normal(size=k)))
+    st = pln.gaussian_stack(3, level_count=6, samples=17)
+    sums = [bodies.profile_sum(K, C) for K in st.bodies for C in st.bodies]
+    clouds.append((np.concatenate([ts for ts, _ in sums]), np.concatenate([rs for _, rs in sums])))
+    for t, v in clouds:
+        ht, hv = bodies.upper_hull(t, v)
+        et, ev = upper_hull_lexsort(t, v)
+        assert ht.tobytes() == et.tobytes() and hv.tobytes() == ev.tobytes()
 
 
 # ---------------------------------------------------------------------------

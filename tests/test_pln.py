@@ -281,6 +281,23 @@ def test_sectioncap_margin_is_exact_between_vertices():
     assert pln._sectioncap_margin(cone, cylinder, cone) == 0.0
 
 
+def test_minimal_midpoint_merges_once_per_level(monkeypatch):
+    # one batched merge of the kept pairs and one hull per output level, and
+    # no merge per pair
+    rng = np.random.default_rng(12)
+    f = random_log_concave_stack(3, rng, level_count=12, samples=33, floor=1e-5)
+    g = random_log_concave_stack(3, rng, level_count=8, samples=17, floor=1e-4)
+    calls = dict.fromkeys(("upper_hull", "profile_sums", "profile_sum"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(bodies, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bodies, name, counted)
+    m = minimal_midpoint_stack(f, g)
+    assert len(m.levels) == 12
+    assert calls == {"upper_hull": 12, "profile_sums": 12, "profile_sum": 0}
+
+
 def test_containment_margin_small():
     # the only slack is the inscription error of the reconstructed profiles
     rng = np.random.default_rng(2)
