@@ -11,14 +11,7 @@ from .bodies import (
     unit_ball_volume,
     volume,
 )
-from .experiments import (
-    ExperimentConfig,
-    FitResult,
-    fit_exponent,
-    run_bs_scan,
-    run_cap_scan,
-    run_pl_scan,
-)
+from .experiments import ExperimentConfig, FitResult, fit_exponent
 from .fmp import FMPReport, fmp_bound_check, gamma_star, homothetic_distance
 from .pl1d import (
     GridFn1D,
@@ -75,9 +68,6 @@ __all__ = [
     "pl_report",
     "pl_trace",
     "polar",
-    "run_bs_scan",
-    "run_cap_scan",
-    "run_pl_scan",
     "santalo_point",
     "section_profile",
     "stability_distance",

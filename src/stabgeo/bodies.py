@@ -99,8 +99,24 @@ def concave_majorant(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.interp(t, *upper_hull(t, v))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _handover(a: np.ndarray) -> np.ndarray:
+    """Freeze an array that a builder has just made and keeps no other use
+    for, so that the constructor it is passed to stores it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
+def _readonly(a, given) -> np.ndarray:
+    """``a`` as a read-only contiguous float array for a constructor to
+    store, copied when it may share memory with ``given``, the caller's
+    argument, unless ``given`` was handed over (read-only, owning its data):
+    the caller's array stays writeable, and writes to it never reach the
+    stored one."""
     a = np.ascontiguousarray(a, dtype=float)
+    handed_over = (isinstance(given, np.ndarray) and given.flags.owndata
+                   and not given.flags.writeable)
+    if not handed_over and np.may_share_memory(a, given):
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -169,7 +185,7 @@ class ConvexPolygon:
                 f"polygon flagged o-symmetric but vertex set is not (defect {d:.3g})"
             )
         object.__setattr__(self, "o_symmetric", symmetric)
-        object.__setattr__(self, "vertices", _readonly(V))
+        object.__setattr__(self, "vertices", _readonly(V, self.vertices))
 
 
 def _symmetry_defect(V: np.ndarray, tol: float) -> float:
@@ -244,8 +260,8 @@ class RevolutionBody:
         dip = (slope[1:] - slope[:-1]) * (dt[:-1] * dt[1:] / (dt[:-1] + dt[1:]))
         if dip.max(initial=0.0) > 2e-9 * scale:
             raise DegenerateBodyError("profile is not concave within tolerance")
-        object.__setattr__(self, "t", _readonly(t))
-        object.__setattr__(self, "radius", _readonly(r))
+        object.__setattr__(self, "t", _readonly(t, self.t))
+        object.__setattr__(self, "radius", _readonly(r, self.radius))
 
     @property
     def alpha(self) -> float:
@@ -282,7 +298,7 @@ def revolution_from_function(dim, profile_fn, alpha, samples=DEFAULT_PROFILE_SAM
 
 def _even_concave_body(dim, t, r):
     """Samples r >= 0 on a symmetric grid t, made even, then concave."""
-    return RevolutionBody(dim, t, concave_majorant(t, 0.5 * (r + r[::-1])))
+    return RevolutionBody(dim, _handover(t), concave_majorant(t, 0.5 * (r + r[::-1])))
 
 
 def revolution_ball(dim, radius=1.0, samples=DEFAULT_PROFILE_SAMPLES):
@@ -444,9 +460,9 @@ def scale(K: BodyRef, factor: float) -> BodyRef:
     if isinstance(K, Ball):
         return Ball(K.dim, K.radius * factor)
     if isinstance(K, ConvexPolygon):
-        return ConvexPolygon(K.vertices * factor)
+        return ConvexPolygon(_handover(K.vertices * factor))
     if isinstance(K, RevolutionBody):
-        return RevolutionBody(K.dim, K.t * factor, K.radius * factor)
+        return RevolutionBody(K.dim, _handover(K.t * factor), K.radius * factor)
     raise UnsupportedCombinationError(f"scale: unsupported body {type(K).__name__}")
 
 
@@ -454,7 +470,7 @@ def dilate_axis(K: RevolutionBody, factor: float) -> RevolutionBody:
     """Stretch a revolution body along its axis only."""
     if not factor > 0:
         raise ValueError("dilation factor must be positive")
-    return RevolutionBody(K.dim, K.t * factor, K.radius.copy())
+    return RevolutionBody(K.dim, _handover(K.t * factor), K.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +581,12 @@ def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
             raise UnsupportedCombinationError("midpoint of balls of different dimension")
         return Ball(K.dim, 0.5 * (K.radius + C.radius))
     if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
-        return ConvexPolygon(0.5 * _polygon_minkowski_sum(K, C))
+        return ConvexPolygon(_handover(0.5 * _polygon_minkowski_sum(K, C)))
     if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
         if K.dim != C.dim:
             raise UnsupportedCombinationError("midpoint of bodies of different dimension")
         ts, rs = profile_sum(as_revolution(K), as_revolution(C))
-        return RevolutionBody(K.dim, 0.5 * ts, 0.5 * rs)
+        return RevolutionBody(K.dim, _handover(0.5 * ts), 0.5 * rs)
     raise UnsupportedCombinationError(
         f"midpoint of {type(K).__name__} and {type(C).__name__} is not supported"
     )

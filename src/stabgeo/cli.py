@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Subcommands: santalo, pl1d, fmp, pln, cap-scan, bs-scan, pl-scan, pln-scan.
+Subcommands: santalo, pl1d, fmp, pln, and one per entry of
+``experiments.SCANS`` (cap-scan, bs-scan, pl-scan, pln-scan), each bound to
+its handler by ``set_defaults``; every scan runs through ``experiments.run``.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
 (diagnostics go to stderr).
 """
@@ -32,29 +34,34 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("santalo", help="Santalo point and volume-product deficit")
     s.add_argument("--body", required=True)
     s.add_argument("--dim", type=int, default=3)
+    s.set_defaults(handler=_cmd_santalo)
 
     s = sub.add_parser("pl1d", help="1-D midpoint deficit and stability report")
     s.add_argument("--f", required=True, dest="f_path")
     s.add_argument("--g", required=True, dest="g_path")
     s.add_argument("--mode", choices=("arith", "geom"), default="arith")
+    s.set_defaults(handler=_cmd_pl1d)
 
     s = sub.add_parser("fmp", help="Brunn-Minkowski stability bound check")
     s.add_argument("--k", required=True, dest="k_path")
     s.add_argument("--c", required=True, dest="c_path")
     s.add_argument("--dim", type=int, default=3)
+    s.set_defaults(handler=_cmd_fmp)
 
     s = sub.add_parser("pln", help="level-stack midpoint trace")
     s.add_argument("--f", required=True, dest="f_path")
     s.add_argument("--g", required=True, dest="g_path")
     s.add_argument("--m", dest="m_path")
+    s.set_defaults(handler=_cmd_pln)
 
     # one option per config key the scan reads; the config parser converts
     # the option text as it converts config values
-    for name, keys in experiments.SCAN_KEYS.items():
+    for name, scan in experiments.SCANS.items():
         s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config")
-        for key in keys:
+        for key in scan.keys:
             s.add_argument(scan_option(key), dest=key)
+        s.set_defaults(handler=_cmd_scan)
     return p
 
 
@@ -116,26 +123,16 @@ def _cmd_pln(args) -> int:
     return 0
 
 
-def _cmd_scan(args, experiment: str) -> int:
-    overrides = {key: getattr(args, key) for key in experiments.SCAN_KEYS[experiment]}
-    overrides["experiment"] = experiment
+def _cmd_scan(args) -> int:
+    scan = experiments.SCANS[args.command]
+    overrides = {key: getattr(args, key) for key in scan.keys}
+    overrides["experiment"] = args.command
     if args.config:
         cfg = experiments.load_config(args.config, **overrides)
     else:
         cfg = experiments.parse_config_text("", **overrides)
-    result = experiments.run(cfg)
-    if experiment == "bs-scan":
-        max_ratio, rows = result
-        print(f"rows={len(rows)} max_ratio={max_ratio:.6g}")
-        return 0
-    fit, rows = result
-    if fit is None:
-        print(f"rows={len(rows)} slope=nan")
-    elif experiment == "cap-scan":
-        print(f"rows={len(rows)} slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
-              f"r_squared={fit.r_squared:.6g}")
-    else:
-        print(f"rows={len(rows)} slope={fit.slope:.6g} r_squared={fit.r_squared:.6g}")
+    summary, rows = experiments.run(cfg)
+    print(f"rows={len(rows)} {scan.line(summary)}")
     return 0
 
 
@@ -146,17 +143,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        if args.command == "santalo":
-            return _cmd_santalo(args)
-        if args.command == "pl1d":
-            return _cmd_pl1d(args)
-        if args.command == "fmp":
-            return _cmd_fmp(args)
-        if args.command == "pln":
-            return _cmd_pln(args)
-        if args.command in experiments.EXPERIMENTS:
-            return _cmd_scan(args, args.command)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ConfigError, FileNotFoundError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

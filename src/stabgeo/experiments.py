@@ -1,15 +1,20 @@
 """Experiment runner: parameter scans, CSV emission, log-log exponent fits.
 
-Configs are plain ``key=value`` text (``#`` comments); every run validates
-its config before doing any work, gathers all rows in grid order, and only
-then writes the output file, so a bad config never leaves a partial CSV.
-Grid points use derived seeds (seed + index), making reruns byte-identical.
+Each scan is one entry of ``SCANS``: the config keys it reads (in
+command-line order), its CSV header, its grid rule, its row generator, and
+how its rows are summarized (an exponent fit or a sup ratio) and printed.
+``run`` is the one runner.  It validates the config before doing any work,
+gathers all rows in grid order, and only then writes the output file, so a
+bad config never leaves a partial CSV.  Configs are plain ``key=value`` text
+(``#`` comments).  Grid points use derived seeds (seed + index), making
+reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +25,7 @@ from . import pln as _pln
 from . import polarity as _polarity
 from .errors import ConfigError, InvalidDataError
 
-# the config keys each scan reads, in command-line order; a config or an
-# option naming any other key is a configuration error
-SCAN_KEYS = {
-    "cap-scan": ("dim", "grid", "output_path", "profile_samples", "min_deficit"),
-    "bs-scan": ("dim", "grid", "seed", "output_path", "profile_samples", "min_deficit"),
-    "pl-scan": ("grid", "family", "output_path", "grid_samples", "min_deficit"),
-    "pln-scan": ("dim", "grid", "output_path", "level_count", "min_deficit"),
-}
-EXPERIMENTS = tuple(SCAN_KEYS)
 PL_FAMILIES = ("asymmetric", "shift")
-
-CSV_HEADERS = {
-    "cap-scan": "eps_cap,bs_deficit,delta_bm",
-    "bs-scan": "bs_deficit,delta_bm",
-    "pl-scan": "delta,eps,l1,omega,ratio",
-    "pln-scan": "delta,eps,l1,omega,ratio",
-}
 
 
 @dataclass(frozen=True)
@@ -81,11 +70,6 @@ def fit_exponent(points) -> FitResult:
                      tuple(zip(lx.tolist(), ly.tolist())))
 
 
-def _scan_fit(pts):
-    """The exponent fit of a scan's kept points; None for fewer than 3."""
-    return fit_exponent(pts) if len(pts) >= 3 else None
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -107,31 +91,21 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ConfigError for an unknown experiment, a bad value, or a key
         the experiment does not read set to anything but its default."""
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in SCANS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        reads = SCAN_KEYS[self.experiment]
         for f in dataclasses.fields(self):
-            if f.name not in reads and f.name in _CONVERT and getattr(self, f.name) != f.default:
+            if f.name in _CONVERT and getattr(self, f.name) != f.default:
                 _check_reads(self.experiment, f.name)
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if len(self.grid) == 0:
             raise ConfigError("grid must be nonempty")
         g = np.asarray(self.grid, dtype=float)
         if not np.all(np.isfinite(g)):
             raise ConfigError(f"grid values must be finite, got {list(self.grid)}")
-        if self.experiment == "cap-scan":
-            cap = _bodies.unit_ball_volume(self.dim) / 4.0
-            if np.any(g <= 0) or np.any(g >= cap):
-                raise ConfigError(
-                    f"cap-scan grid values must lie in (0, {cap:.6g}) for dim {self.dim}"
-                )
-        elif self.experiment == "bs-scan":
-            if np.any(g < 0) or np.any(g >= 1):
-                raise ConfigError("bs-scan grid (profile amplitudes) must lie in [0, 1)")
-        else:
-            if np.any(g <= 0):
-                raise ConfigError("perturbation grid values must be positive")
+        SCANS[self.experiment].check_grid(self, g)
         if self.family is not None and self.family not in PL_FAMILIES:
             raise ConfigError(f"unknown pl-scan family {self.family!r}")
         for name in ("profile_samples", "grid_samples", "level_count"):
@@ -156,8 +130,8 @@ _CONVERT = dict(dim=int, grid=_grid, seed=int, output_path=str, profile_samples=
 def _check_reads(experiment: str, key: str) -> None:
     if key not in _CONVERT:
         raise ConfigError(f"unknown config key {key!r}")
-    if key not in SCAN_KEYS[experiment]:
-        readers = ", ".join(e for e, keys in SCAN_KEYS.items() if key in keys)
+    if key not in SCANS[experiment].keys:
+        readers = ", ".join(e for e, scan in SCANS.items() if key in scan.keys)
         raise ConfigError(f"{key} applies to {readers} only, not {experiment}")
 
 
@@ -228,105 +202,68 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_cap_scan(cfg: ExperimentConfig):
-    """Cap-cutting family: for each cap volume, the volume-product deficit
-    and the Banach-Mazur distance to the ball; fits the log-log exponent of
-    delta_bm against bs_deficit.  Returns (FitResult or None, rows)."""
-    cfg.validate()
-    if cfg.experiment != "cap-scan":
-        raise ConfigError(f"run_cap_scan got experiment {cfg.experiment!r}")
+def _cap_grid(cfg: ExperimentConfig, g: np.ndarray) -> None:
+    cap = _bodies.unit_ball_volume(cfg.dim) / 4.0
+    if np.any(g <= 0) or np.any(g >= cap):
+        raise ConfigError(f"cap-scan grid values must lie in (0, {cap:.6g}) for dim {cfg.dim}")
+
+
+def _bs_grid(cfg: ExperimentConfig, g: np.ndarray) -> None:
+    if np.any(g < 0) or np.any(g >= 1):
+        raise ConfigError("bs-scan grid (profile amplitudes) must lie in [0, 1)")
+
+
+def _positive_grid(cfg: ExperimentConfig, g: np.ndarray) -> None:
+    if np.any(g <= 0):
+        raise ConfigError("perturbation grid values must be positive")
+
+
+def _cap_rows(cfg: ExperimentConfig):
+    """Per cap volume: the volume-product deficit and the Banach-Mazur
+    distance to the ball of the cap-cut body."""
     samples = cfg.profile_samples or 16385
-    rows = []
     for eps_cap in cfg.grid:
         body = _polarity.cap_cut_body(cfg.dim, float(eps_cap), samples=samples)
-        res = _polarity.bs_deficit(body)
-        delta = _polarity.bm_distance_to_ball(body)
-        rows.append((float(eps_cap), res.bs_deficit, delta))
-    pts = [(r[1], r[2]) for r in rows if r[1] > cfg.min_deficit and r[2] > 0]
-    fit = _scan_fit(pts)
-    _write_csv(cfg.output_path, CSV_HEADERS["cap-scan"], rows)
-    return fit, rows
+        yield (float(eps_cap), _polarity.bs_deficit(body).bs_deficit,
+               _polarity.bm_distance_to_ball(body))
 
 
-def run_bs_scan(cfg: ExperimentConfig):
-    """Seeded family of random o-symmetric revolution bodies (one per grid
-    amplitude; amplitude 0 is an exact ellipsoid).  Writes one
-    (bs_deficit, delta_bm) row per body and returns (max_ratio, rows) where
-    max_ratio is the measured sup of delta_bm / deficit^(2/(3(n+1)))."""
-    cfg.validate()
-    if cfg.experiment != "bs-scan":
-        raise ConfigError(f"run_bs_scan got experiment {cfg.experiment!r}")
+def _bs_rows(cfg: ExperimentConfig):
+    """Per amplitude, the same for a seeded random o-symmetric body of
+    revolution (amplitude 0 is an exact ellipsoid)."""
     samples = cfg.profile_samples or 8193
-    rows = []
     for idx, amp in enumerate(cfg.grid):
         rng = np.random.default_rng(cfg.seed + idx)
-        body = _bodies.random_revolution_body(cfg.dim, rng, samples=samples,
-                                              amplitude=float(amp))
-        res = _polarity.bs_deficit(body)
-        delta = _polarity.bm_distance_to_ball(body)
-        rows.append((res.bs_deficit, delta))
-    expo = 2.0 / (3.0 * (cfg.dim + 1))
-    ratios = [d / e ** expo for e, d in rows if e > cfg.min_deficit]
-    max_ratio = max(ratios) if ratios else float("nan")
-    _write_csv(cfg.output_path, CSV_HEADERS["bs-scan"], rows)
-    return max_ratio, rows
+        body = _bodies.random_revolution_body(cfg.dim, rng, samples=samples, amplitude=float(amp))
+        yield _polarity.bs_deficit(body).bs_deficit, _polarity.bm_distance_to_ball(body)
 
 
-def _gaussian_gridfn(samples, half_width=6.0):
-    x = np.linspace(-half_width, half_width, samples)
-    return _pl1d.GridFn1D(x, np.exp(-x * x), log_concave=True)
+def _pl_rows(cfg: ExperimentConfig):
+    """Per delta, the 1-D deficit, L1 distance, omega(eps) and l1/omega(eps):
+    Gaussians shifted by +-delta with their midpoint, or one Gaussian scaled
+    by 1 +- delta on either side of 0 paired with itself."""
+    x = np.linspace(-6.0, 6.0, cfg.grid_samples or 4801)
+    for delta in map(float, cfg.grid):
+        if cfg.family == "shift":
+            f, g, m = (_pl1d.GridFn1D(x, np.exp(-(x - c) ** 2), log_concave=True)
+                       for c in (delta, -delta, 0.0))
+            rep = _pl1d.pl_report(f, g, m=m)
+        else:
+            f = _pl1d.GridFn1D(x, np.exp(-x * x) * (1.0 + delta * np.sign(x)))
+            rep = _pl1d.pl_report(f, f)
+        l1 = max(rep.l1_f, rep.l1_g)
+        yield delta, rep.deficit, l1, rep.omega_bound, _safe_ratio(l1, rep.omega_bound)
 
 
-def _pl_scan_point_shift(delta, samples):
-    m = _gaussian_gridfn(samples)
-    x = m.grid
-    f = _pl1d.GridFn1D(x, np.exp(-(x - delta) ** 2), log_concave=True)
-    g = _pl1d.GridFn1D(x, np.exp(-(x + delta) ** 2), log_concave=True)
-    return _pl1d.pl_report(f, g, m=m)
-
-
-def _pl_scan_point_asymmetric(delta, samples):
-    x = np.linspace(-6.0, 6.0, samples)
-    vals = np.exp(-x * x) * (1.0 + delta * np.sign(x))
-    f = _pl1d.GridFn1D(x, vals)
-    return _pl1d.pl_report(f, f)
-
-
-def run_pl_scan(cfg: ExperimentConfig):
-    """Perturbation-family scan of the 1-D (pl-scan) or level-stack
-    (pln-scan) deficit/stability pipeline.  Writes
-    ``delta,eps,l1,omega,ratio`` rows and fits log l1 against log eps.
-    The ratio column is l1/omega(eps) in 1-D and l1/sqrt(omega(eps)) for
-    stacks.  Returns (FitResult or None, rows)."""
-    cfg.validate()
-    if cfg.experiment not in ("pl-scan", "pln-scan"):
-        raise ConfigError(f"run_pl_scan got experiment {cfg.experiment!r}")
-    rows = []
-    if cfg.experiment == "pl-scan":
-        samples = cfg.grid_samples or 4801
-        for delta in cfg.grid:
-            if cfg.family == "shift":
-                rep = _pl_scan_point_shift(float(delta), samples)
-            else:
-                rep = _pl_scan_point_asymmetric(float(delta), samples)
-            l1 = max(rep.l1_f, rep.l1_g)
-            om = rep.omega_bound
-            rows.append((float(delta), rep.deficit, l1, om, _safe_ratio(l1, om)))
-    else:
-        levels = cfg.level_count or 48
-        f = _pln.gaussian_stack(cfg.dim, level_count=levels)
-        for delta in cfg.grid:
-            g = _pln.axis_dilated_stack(f, 1.0 + float(delta))
-            m = _pln.minimal_midpoint_stack(f, g)
-            trace = _pln.pl_trace(f, g, m)
-            om = trace.omega
-            bound = math.sqrt(om) if om > 0 else 0.0
-            rows.append((float(delta), trace.eps, trace.l1_fg, om,
-                         _safe_ratio(trace.l1_fg, bound)))
-    pts = [(r[1], r[2]) for r in rows if r[1] > cfg.min_deficit and r[2] > cfg.min_deficit]
-    fit = _scan_fit(pts)
-    _write_csv(cfg.output_path, CSV_HEADERS[cfg.experiment], rows)
-    return fit, rows
+def _pln_rows(cfg: ExperimentConfig):
+    """Per delta, the same for a Gaussian level stack and its axis dilation
+    by 1 + delta, with l1/sqrt(omega(eps))."""
+    f = _pln.gaussian_stack(cfg.dim, level_count=cfg.level_count or 48)
+    for delta in map(float, cfg.grid):
+        g = _pln.axis_dilated_stack(f, 1.0 + delta)
+        trace = _pln.pl_trace(f, g, _pln.minimal_midpoint_stack(f, g))
+        bound = math.sqrt(trace.omega) if trace.omega > 0 else 0.0
+        yield delta, trace.eps, trace.l1_fg, trace.omega, _safe_ratio(trace.l1_fg, bound)
 
 
 def _safe_ratio(num, den):
@@ -335,10 +272,64 @@ def _safe_ratio(num, den):
     return 0.0 if num <= 1e-9 else float("inf")
 
 
+def _fit_rows(rows, x_min: float, y_min: float):
+    """The exponent fit of column 2 against column 1 over the rows above
+    (x_min, y_min); None for fewer than 3 such rows."""
+    pts = [(r[1], r[2]) for r in rows if r[1] > x_min and r[2] > y_min]
+    return fit_exponent(pts) if len(pts) >= 3 else None
+
+
+def _bs_sup_ratio(cfg: ExperimentConfig, rows) -> float:
+    """The measured sup of delta_bm / deficit^(2/(3(n+1))) over the deficits
+    above min_deficit; nan when there are none."""
+    expo = 2.0 / (3.0 * (cfg.dim + 1))
+    return max((d / e ** expo for e, d in rows if e > cfg.min_deficit), default=float("nan"))
+
+
+def _fit_line(*names):
+    return lambda fit: ("slope=nan" if fit is None else
+                        " ".join(f"{name}={getattr(fit, name):.6g}" for name in names))
+
+
+# Each scan by name: the config keys it reads, in command-line order (a
+# config or an option naming another key is a configuration error); its CSV
+# header; its grid rule, which raises ConfigError; its row generator, in
+# grid order; its summary of the rows, a FitResult (None for fewer than 3
+# points) or a sup ratio; and the summary as the command prints it.
+_Scan = namedtuple("_Scan", "keys header check_grid rows summary line")
+SCANS = {
+    "cap-scan": _Scan(
+        ("dim", "grid", "output_path", "profile_samples", "min_deficit"),
+        "eps_cap,bs_deficit,delta_bm", _cap_grid, _cap_rows,
+        lambda cfg, rows: _fit_rows(rows, cfg.min_deficit, 0.0),
+        _fit_line("slope", "intercept", "r_squared")),
+    "bs-scan": _Scan(
+        ("dim", "grid", "seed", "output_path", "profile_samples", "min_deficit"),
+        "bs_deficit,delta_bm", _bs_grid, _bs_rows, _bs_sup_ratio,
+        lambda max_ratio: f"max_ratio={max_ratio:.6g}"),
+    "pl-scan": _Scan(
+        ("grid", "family", "output_path", "grid_samples", "min_deficit"),
+        "delta,eps,l1,omega,ratio", _positive_grid, _pl_rows,
+        lambda cfg, rows: _fit_rows(rows, cfg.min_deficit, cfg.min_deficit),
+        _fit_line("slope", "r_squared")),
+    "pln-scan": _Scan(
+        ("dim", "grid", "output_path", "level_count", "min_deficit"),
+        "delta,eps,l1,omega,ratio", _positive_grid, _pln_rows,
+        lambda cfg, rows: _fit_rows(rows, cfg.min_deficit, cfg.min_deficit),
+        _fit_line("slope", "r_squared")),
+}
+EXPERIMENTS = tuple(SCANS)
+
+
 def run(cfg: ExperimentConfig):
+    """Run the scan ``cfg.experiment``: validate the config, build its rows
+    in grid order, summarize them, and only then write the CSV.  Returns
+    (summary, rows); the summary is the log-log fit of the scan's deficit
+    columns (None for fewer than 3 points above min_deficit), or for
+    bs-scan the sup ratio."""
     cfg.validate()
-    if cfg.experiment == "cap-scan":
-        return run_cap_scan(cfg)
-    if cfg.experiment == "bs-scan":
-        return run_bs_scan(cfg)
-    return run_pl_scan(cfg)
+    scan = SCANS[cfg.experiment]
+    rows = list(scan.rows(cfg))
+    summary = scan.summary(cfg, rows)
+    _write_csv(cfg.output_path, scan.header, rows)
+    return summary, rows

@@ -306,6 +306,11 @@ class FMPReport:
     eta: float
 
 
+def _bracket_excess(n: int, sig: float, A: float) -> float:
+    """``FMPReport.eta`` at volume ratio ``sig`` and homothetic distance ``A``."""
+    return (sig - 1.0) ** 2 / (32.0 * n * sig * sig) + n * gamma_star(n) / sig ** (1.0 / n) * A * A
+
+
 def fmp_bound_check(K: BodyRef, C: BodyRef) -> FMPReport:
     """Evaluate both stability inequalities on a pair of bodies.
 
@@ -325,7 +330,7 @@ def fmp_bound_check(K: BodyRef, C: BodyRef) -> FMPReport:
     rhs_add = (vk ** (1.0 / n) + vc ** (1.0 / n)) * (
         1.0 + gstar / sig ** (1.0 / n) * A * A
     )
-    eta = (sig - 1.0) ** 2 / (32.0 * n * sig * sig) + n * gstar / sig ** (1.0 / n) * A * A
+    eta = _bracket_excess(n, sig, A)
     lhs_prod = vol_mid
     rhs_prod = math.sqrt(vk * vc) * (1.0 + eta)
     return FMPReport(

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import _ends_closed, _trapezoid, bounded_minimize, merge_indices
+from .bodies import (_ends_closed, _handover, _readonly, _trapezoid, bounded_minimize,
+                     merge_indices)
 from .errors import EmptyFunctionError, InvalidDataError
 
 WHOLE_LINE = "whole-line"
@@ -87,10 +88,8 @@ class GridFn1D:
             raise ValueError("half-line functions need a nonnegative grid")
         if self.log_concave and not _log_concave_ok(g, v):
             raise ValueError("function flagged log-concave fails the discrete check")
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "grid", _readonly(g, self.grid))
+        object.__setattr__(self, "values", _readonly(v, self.values))
 
     def at(self, x):
         return np.interp(x, self.grid, self.values, left=0.0, right=0.0)
@@ -247,7 +246,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
         hg = exp_substitution(g)
         mid = sup_convolution_midpoint(hf, hg, "arithmetic")
         u = np.exp(mid.grid)
-        return GridFn1D(u, mid.values / u, HALF_LINE)
+        return GridFn1D(_handover(u), _handover(mid.values / u), HALF_LINE)
     if mean != "arithmetic":
         raise ValueError(f"unknown mean {mean!r}")
 
@@ -269,7 +268,7 @@ def sup_convolution_midpoint(f: GridFn1D, g: GridFn1D, mean="arithmetic") -> Gri
     ls = 0.5 * _max_plus(la, lb)
     grid = 0.5 * (xf[0] + xg[0]) + 0.5 * step * np.arange(len(ls))
     domain = HALF_LINE if (f.domain == HALF_LINE and g.domain == HALF_LINE) else WHOLE_LINE
-    return GridFn1D(grid, np.exp(ls), domain)
+    return GridFn1D(_handover(grid), _handover(np.exp(ls)), domain)
 
 
 def pl_deficit(f: GridFn1D, g: GridFn1D, m: GridFn1D) -> float:
@@ -305,7 +304,7 @@ def exp_substitution(H: GridFn1D) -> GridFn1D:
         g, v = g[keep], v[keep]
         if len(g) < 2:
             raise EmptyFunctionError("nothing left after truncating at 0")
-    return GridFn1D(np.log(g), v * g, WHOLE_LINE)
+    return GridFn1D(_handover(np.log(g)), _handover(v * g), WHOLE_LINE)
 
 
 # ---------------------------------------------------------------------------

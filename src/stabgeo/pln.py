@@ -62,8 +62,7 @@ class LevelStack:
             R_cur = float(np.max(np.hypot(cur.t, cur.radius)))
             if _excess(prev.t, prev.radius, cur) > 1e-7 * max(R_cur, 1.0):
                 raise ValueError("stack bodies are not nested")
-        lv.setflags(write=False)
-        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "levels", _bodies._readonly(lv, self.levels))
         object.__setattr__(self, "bodies", bd)
 
     @cached_property
@@ -100,27 +99,27 @@ def stack_integral(f: LevelStack) -> float:
 
 def section_profile(f: LevelStack) -> GridFn1D:
     """t -> |{f >= t}| on the level grid, as a decreasing half-line function."""
-    return GridFn1D(f.levels[::-1].copy(), f.volumes[::-1].copy(), HALF_LINE)
+    return GridFn1D(f.levels[::-1], f.volumes[::-1], HALF_LINE)
 
 
 def normalize_probability(f: LevelStack) -> LevelStack:
     total = stack_integral(f)
     if total <= 0:
         raise EmptyFunctionError("cannot normalize a zero stack")
-    return LevelStack(f.dim, f.levels / total, f.bodies)
+    return LevelStack(f.dim, _bodies._handover(f.levels / total), f.bodies)
 
 
 def scale_stack(f: LevelStack, space_factor=1.0, level_factor=1.0) -> LevelStack:
     bd = tuple(_bodies.scale(b, space_factor) for b in f.bodies) \
         if space_factor != 1.0 else f.bodies
-    return LevelStack(f.dim, f.levels * level_factor, bd)
+    return LevelStack(f.dim, _bodies._handover(f.levels * level_factor), bd)
 
 
 def axis_dilated_stack(f: LevelStack, factor: float) -> LevelStack:
     """Stretch all level bodies along the axis and renormalize the heights,
     so a probability stack stays a probability stack."""
     bd = tuple(_bodies.dilate_axis(b, factor) for b in f.bodies)
-    return LevelStack(f.dim, f.levels / factor, bd)
+    return LevelStack(f.dim, _bodies._handover(f.levels / factor), bd)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +232,8 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
         ts, rs = _bodies.profile_sums(A, i, B, J_k[i])
         hull = _bodies.upper_hull(np.concatenate((0.5 * ts.ravel(), hull[0])),
                                   np.concatenate((0.5 * rs.ravel(), hull[1])))
-        out_bodies.append(RevolutionBody(dim, *hull))
-    return LevelStack(dim, u, tuple(out_bodies))
+        out_bodies.append(RevolutionBody(dim, _bodies._handover(hull[0]), hull[1]))
+    return LevelStack(dim, _bodies._handover(u), tuple(out_bodies))
 
 
 def containment_margin(f: LevelStack, g: LevelStack, m: LevelStack) -> float:
@@ -389,7 +388,6 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
     beta = np.zeros(K)
     sigma = np.full(K, np.nan)
     eta = np.full(K, np.nan)
-    gstar = _fmp.gamma_star(n)
     for j, t_j in enumerate(levels):
         bf = f_t.body_at(t_j)
         bg = g_t.body_at(t_j)
@@ -401,7 +399,7 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
             s = max(b * b * beta[j] / alpha[j], alpha[j] / (b * b * beta[j]))
             sigma[j] = s
             A = _fmp.homothetic_distance(bf, bg)
-            eta[j] = (s - 1.0) ** 2 / (32.0 * n * s * s) + n * gstar / s ** (1.0 / n) * A * A
+            eta[j] = _fmp._bracket_excess(n, s, A)
     I_mask = (alpha > 0.75) & (alpha < 1.25) & (beta > 0.75) & (beta < 1.25)
     J_mask = ~I_mask
 

@@ -112,11 +112,11 @@ def polar(K: BodyRef, z=None) -> BodyRef:
             s, psi = np.append(s, 1.0 / t[-1]), np.append(psi, 0.0)
         s, psi = bodies.upper_hull(s, psi)
         left = s[::-1] > 0.0
-        return RevolutionBody(K.dim, np.concatenate((-s[::-1][left], s)),
+        return RevolutionBody(K.dim, bodies._handover(np.concatenate((-s[::-1][left], s))),
                               np.concatenate((psi[::-1][left], psi)))
     if isinstance(K, ConvexPolygon):
         z = np.zeros(2) if z is None else np.asarray(z, dtype=float)
-        return ConvexPolygon(_polar_vertices(K.vertices, z) + z)
+        return ConvexPolygon(bodies._handover(_polar_vertices(K.vertices, z) + z))
     raise UnsupportedCombinationError(f"polar: unsupported body {type(K).__name__}")
 
 
@@ -126,9 +126,12 @@ def polar(K: BodyRef, z=None) -> BodyRef:
 
 
 def _polygon_diameter(K: ConvexPolygon) -> float:
+    """Largest vertex distance, its rows in blocks of at most 2^16 pairs, so
+    memory stays linear in the vertex count."""
     V = K.vertices
-    D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)
-    return float(np.max(D))
+    rows = max(1, 2 ** 16 // len(V))
+    return float(np.max([np.max(np.linalg.norm(V[k:k + rows, None] - V, axis=2))
+                         for k in range(0, len(V), rows)]))
 
 
 def _result_at(K: BodyRef, z) -> SantaloResult:

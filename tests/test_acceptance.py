@@ -126,9 +126,9 @@ def test_criterion_2_equality_cases():
 def test_criterion_3_cap_cut_exponent():
     t0 = time.monotonic()
     grid = tuple(np.geomspace(1e-6, 1e-2, 13))
-    fit3, _ = experiments.run_cap_scan(
+    fit3, _ = experiments.run(
         experiments.ExperimentConfig(experiment="cap-scan", dim=3, grid=grid))
-    fit2, _ = experiments.run_cap_scan(
+    fit2, _ = experiments.run(
         experiments.ExperimentConfig(experiment="cap-scan", dim=2, grid=grid))
     elapsed = time.monotonic() - t0
     ok = (0.45 <= fit3.slope <= 0.55 and fit3.r_squared >= 0.98

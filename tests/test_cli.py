@@ -240,6 +240,13 @@ def test_cli_cap_scan_with_two_points_writes_csv_and_prints_nan(tmp_path, capsys
     assert len(out_csv.read_text().splitlines()) == 3
 
 
+def test_cli_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "bs.csv"
+    assert main(["bs-scan", "--grid", "0.5", "--seed", "-3", "--out", str(out)]) == 1
+    assert "config error: seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     out_csv = tmp_path / "bs.csv"
@@ -337,7 +344,7 @@ _SCAN_OPTIONS = {"--dim": "3", "--seed": "1", "--out": "x.csv", "--profile-sampl
 def test_cli_scan_takes_exactly_the_keys_it_reads(tmp_path, experiment, capsys):
     sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[experiment]
     options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help", "--config"}
-    assert options == {scan_option(key) for key in experiments.SCAN_KEYS[experiment]}
+    assert options == {scan_option(key) for key in experiments.SCANS[experiment].keys}
     grid = {"cap-scan": "1e-3,1e-2,2e-2", "bs-scan": "0.5"}.get(experiment, "0.1")
     unread = sorted(set(_SCAN_OPTIONS) - options)
     for option in unread:

@@ -90,6 +90,8 @@ def test_config_validation_errors(tmp_path):
         ex.parse_config_text("experiment=bs-scan\ngrid=1.5")
     with pytest.raises(ConfigError):
         ex.parse_config_text("experiment=pl-scan\ngrid=0.1\nfamily=unheard-of")
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -3"):
+        ex.parse_config_text("experiment=bs-scan\ngrid=0.5\nseed=-3")
     text = "experiment=cap-scan\ngrid=1e-3,1e-2\ndim=2\n# again\ndim=3\n"
     with pytest.raises(ConfigError, match="line 5: dim is set twice"):
         ex.parse_config_text(text)
@@ -102,7 +104,7 @@ def test_bad_config_never_writes_output(tmp_path):
     cfg = ex.ExperimentConfig(experiment="cap-scan", dim=3, grid=(-1.0,),
                               output_path=str(out))
     with pytest.raises(ConfigError):
-        ex.run_cap_scan(cfg)
+        ex.run(cfg)
     assert not out.exists()
 
 
@@ -119,9 +121,9 @@ def test_scan_keys_are_config_keys():
     # every key a scan reads is a field of the config, and every field but
     # the experiment name is read by some scan
     fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)} - {"experiment"}
-    read = {key for keys in ex.SCAN_KEYS.values() for key in keys}
+    read = {key for scan in ex.SCANS.values() for key in scan.keys}
     assert read == fields
-    assert ex.EXPERIMENTS == tuple(ex.SCAN_KEYS)
+    assert ex.EXPERIMENTS == tuple(ex.SCANS)
 
 
 @pytest.mark.parametrize("experiment", ex.EXPERIMENTS)
@@ -131,14 +133,14 @@ def test_config_key_the_scan_does_not_read_is_config_error(experiment):
               "grid_samples": "65", "level_count": "8", "family": "shift",
               "min_deficit": "1e-12"}
     ex.parse_config_text(f"experiment={experiment}\ngrid={grid}\n" + "".join(
-        f"{key}={values[key]}\n" for key in ex.SCAN_KEYS[experiment] if key != "grid"))
-    for key in sorted(set(values) - set(ex.SCAN_KEYS[experiment])):
+        f"{key}={values[key]}\n" for key in ex.SCANS[experiment].keys if key != "grid"))
+    for key in sorted(set(values) - set(ex.SCANS[experiment].keys)):
         with pytest.raises(ConfigError, match=f"{key} applies to"):
             ex.parse_config_text(f"experiment={experiment}\ngrid={grid}\n{key}={values[key]}")
     # a config object may leave an unread key at its default, not set it
     other = {"dim": 7, "seed": 3, "profile_samples": 99, "grid_samples": 99,
              "level_count": 9, "family": "shift"}
-    for key in sorted(set(other) - set(ex.SCAN_KEYS[experiment])):
+    for key in sorted(set(other) - set(ex.SCANS[experiment].keys)):
         cfg = ex.ExperimentConfig(experiment=experiment, grid=(float(grid),), **{key: other[key]})
         with pytest.raises(ConfigError, match=f"{key} applies to"):
             cfg.validate()
@@ -163,7 +165,7 @@ def test_cap_scan_writes_csv_and_fits(tmp_path):
         grid=tuple(np.geomspace(1e-4, 1e-2, 5)),
         output_path=str(out), profile_samples=4097,
     )
-    fit, rows = ex.run_cap_scan(cfg)
+    fit, rows = ex.run(cfg)
     assert len(rows) == 5
     assert 0.3 <= fit.slope <= 0.7
     lines = out.read_text().splitlines()
@@ -179,8 +181,8 @@ def test_bs_scan_ball_row_and_determinism(tmp_path):
                                output_path=str(out1))
     cfg2 = ex.ExperimentConfig(experiment="bs-scan", dim=3, grid=grid, seed=11,
                                output_path=str(out2))
-    _, rows = ex.run_bs_scan(cfg1)
-    ex.run_bs_scan(cfg2)
+    _, rows = ex.run(cfg1)
+    ex.run(cfg2)
     # amplitude 0 is an exact ellipsoid: the scatter's equality anchor
     assert rows[0][0] <= 1e-6
     assert rows[0][1] <= 1e-4
@@ -193,7 +195,7 @@ def test_pl_scan_shift_family_absorbed(tmp_path):
     out = tmp_path / "shift.csv"
     cfg = ex.ExperimentConfig(experiment="pl-scan", dim=3, grid=(0.06, 0.12, 0.24),
                               family="shift", output_path=str(out))
-    _, rows = ex.run_pl_scan(cfg)
+    _, rows = ex.run(cfg)
     for _, eps, l1, _, _ in rows:
         assert abs(eps) <= 1e-9
         assert l1 <= 1e-9
@@ -204,7 +206,7 @@ def test_pl_scan_asymmetric_family():
     cfg = ex.ExperimentConfig(experiment="pl-scan", dim=3,
                               grid=tuple(np.geomspace(3e-3, 1e-1, 5)),
                               grid_samples=2401)
-    fit, rows = ex.run_pl_scan(cfg)
+    fit, rows = ex.run(cfg)
     eps = [r[1] for r in rows]
     assert all(b > a > 0 for a, b in zip(eps, eps[1:]))
     assert all(np.isfinite(r[4]) for r in rows)
@@ -214,7 +216,7 @@ def test_pl_scan_asymmetric_family():
 def test_pln_scan_small():
     cfg = ex.ExperimentConfig(experiment="pln-scan", dim=3,
                               grid=(0.05, 0.1, 0.2), level_count=32)
-    fit, rows = ex.run_pl_scan(cfg)
+    fit, rows = ex.run(cfg)
     for _, eps, l1, om, ratio in rows:
         assert eps > 0 and l1 > 0
         assert np.isfinite(ratio)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hausdorff
-from stabgeo import bodies, pln
+from stabgeo import bodies, pl1d, pln
 from stabgeo.bodies import revolution_ball
 from stabgeo.errors import EmptyFunctionError, NormalizationError
 from stabgeo.pln import (
@@ -50,6 +50,55 @@ def test_stack_validation():
         ball_stack([(1.0, 0.5), (2.0, 1.0)])
     with pytest.raises(EmptyFunctionError):
         LevelStack(3, np.array([]), ())
+
+
+def test_constructors_copy_the_callers_arrays():
+    # each constructor stores a read-only array of its own: the caller's
+    # array, or a view of it, stays writeable, and writing to it changes
+    # nothing stored
+    t = np.linspace(-1.0, 1.0, 9)
+    r = 1.0 - 0.5 * t * t
+    V = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [-0.5, -1.0]])
+    x = np.linspace(-3.0, 3.0, 31)
+    v = np.exp(-x * x)
+    levels = np.array([1.0, 0.5])
+    balls = (revolution_ball(3, 0.5, 17), revolution_ball(3, 1.0, 17))
+    for args in ((t, r, V, x, v, levels), (t[:], r[:], V[:], x[:], v[:], levels[:])):
+        before = [a.copy() for a in args]
+        K = bodies.RevolutionBody(3, args[0], args[1])
+        P = bodies.ConvexPolygon(args[2])
+        f = pl1d.GridFn1D(args[3], args[4])
+        S = LevelStack(3, args[5], balls)
+        stored = (K.t, K.radius, P.vertices, f.grid, f.values, S.levels)
+        for given, kept in zip(args, stored):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert not np.may_share_memory(given, kept)
+        for given in args:
+            given *= 2.0
+        for kept, old in zip(stored, before):
+            assert np.array_equal(kept, old)
+        for given, old in zip(args, before):
+            given[...] = old
+
+
+def test_constructors_keep_handed_over_arrays():
+    # a read-only array that owns its data is stored as it is; a read-only
+    # view of a writeable array is still copied
+    t = np.linspace(-1.0, 1.0, 9)
+    r = 1.0 - 0.5 * t * t
+    t_frozen = bodies._handover(t.copy())
+    assert bodies.RevolutionBody(3, t_frozen, r).t is t_frozen
+    x = np.linspace(-3.0, 3.0, 31)
+    x_frozen = bodies._handover(x.copy())
+    assert pl1d.GridFn1D(x_frozen, np.exp(-x * x)).grid is x_frozen
+    view = t.view()
+    view.setflags(write=False)
+    kept = bodies.RevolutionBody(3, view, r).t
+    assert not np.may_share_memory(kept, t)
+    # the package's own builders hand over what they make
+    K = bodies.RevolutionBody(3, t, r)
+    assert not bodies.scale(K, 2.0).t.flags.writeable
+    assert t.flags.writeable
 
 
 def test_stack_nesting_check_is_exact():

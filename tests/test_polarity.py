@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,27 @@ def test_santalo_certificate_at_rounding_level():
         diam = polarity._polygon_diameter(K)
         c = bodies.polygon_centroid(polarity._polar_vertices(K.vertices, z))
         assert diam * np.linalg.norm(c) <= 1e-11
+
+
+def test_polygon_diameter_in_linear_memory():
+    # the blocks hold the same norms as the all-pairs table, so the maximum
+    # is the same bit for bit
+    for n in (3, 257, 301, 1001):
+        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        K = ConvexPolygon(np.column_stack([2.0 * np.cos(theta) + 0.3, np.sin(theta)]))
+        V = K.vertices
+        assert polarity._polygon_diameter(K) == float(
+            np.max(np.linalg.norm(V[:, None, :] - V[None, :, :], axis=2)))
+    # a general 2001-vertex polygon: the all-pairs table alone is 64 MB
+    theta = np.linspace(0.0, 2.0 * np.pi, 2001, endpoint=False)
+    K = ConvexPolygon(np.column_stack([2.0 * np.cos(theta) + 0.3, np.sin(theta)]))
+    tracemalloc.start()
+    try:
+        polarity._polygon_diameter(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
