@@ -1,12 +1,16 @@
 """Convex-body representations and their basic functionals.
 
-Three interchangeable representations are used throughout the package:
+Three representations are used throughout the package:
 
 * ``Ball`` -- a Euclidean ball centred at the origin (any dimension),
 * ``ConvexPolygon`` -- a planar convex body as a counterclockwise vertex cycle,
 * ``RevolutionBody`` -- an o-symmetric convex body of revolution in n
   dimensions, stored by the vertices of the radius profile of its 2-D
   meridian over the axis interval [-alpha, alpha].
+
+A binary kernel takes two bodies of one representation and dimension and
+raises ``UnsupportedCombinationError`` otherwise; nothing is resampled to
+make a pair meet (``revolution_ball`` builds a ball as a body of revolution).
 
 A ``RevolutionBody`` is the solid of its piecewise-linear meridian.  Its
 hyperplane sections orthogonal to the axis are (n-1)-dimensional balls, so
@@ -136,8 +140,9 @@ class Ball:
     def __post_init__(self):
         if self.dim < 1:
             raise DegenerateBodyError(f"ball dimension must be >= 1, got {self.dim}")
-        if not (self.radius > 0):
-            raise DegenerateBodyError(f"ball radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise DegenerateBodyError(f"ball radius must be finite and positive, "
+                                      f"got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,8 @@ class ConvexPolygon:
         if V.ndim != 2 or V.shape[1] != 2 or V.shape[0] < 3:
             raise DegenerateBodyError("polygon needs at least 3 planar vertices")
         scale = float(np.max(np.abs(V))) or 1.0
+        if not math.isfinite(scale):
+            raise DegenerateBodyError("polygon vertices must be finite")
         edges = _next_vertices(V) - V
         length = np.hypot(edges[:, 0], edges[:, 1])
         if np.any(length <= 1e-12 * scale):
@@ -275,6 +282,16 @@ class RevolutionBody:
 BodyRef = Union[Ball, ConvexPolygon, RevolutionBody]
 
 
+def _check_pair(K, C, what: str) -> None:
+    """Refuse two operands (bodies, or level stacks) of different kinds or
+    dimensions: every binary kernel works on one representation."""
+    if type(K) is not type(C) or K.dim != C.dim:
+        raise UnsupportedCombinationError(
+            f"{what} needs two operands of one kind and dimension, got a "
+            f"{K.dim}-D {type(K).__name__} and a {C.dim}-D {type(C).__name__}"
+        )
+
+
 def is_o_symmetric(K: BodyRef) -> bool:
     return isinstance(K, (Ball, RevolutionBody)) or (
         isinstance(K, ConvexPolygon) and K.o_symmetric
@@ -319,15 +336,6 @@ def revolution_ellipsoid(dim, axis_half_length, cross_radius, samples=DEFAULT_PR
     return revolution_from_function(
         dim, lambda t: c * np.sqrt(np.maximum(1.0 - (t / a) ** 2, 0.0)), a, samples
     )
-
-
-def as_revolution(K: BodyRef, samples=DEFAULT_PROFILE_SAMPLES) -> RevolutionBody:
-    """Coerce a Ball to a profile representation (RevolutionBody passes through)."""
-    if isinstance(K, RevolutionBody):
-        return K
-    if isinstance(K, Ball):
-        return revolution_ball(K.dim, K.radius, samples)
-    raise UnsupportedCombinationError(f"cannot view {type(K).__name__} as a body of revolution")
 
 
 def random_revolution_body(dim, rng, samples=DEFAULT_PROFILE_SAMPLES, amplitude=1.0):
@@ -570,26 +578,19 @@ def profile_sum(K: RevolutionBody, C: RevolutionBody):
 
 
 def minkowski_midpoint(K: BodyRef, C: BodyRef) -> BodyRef:
-    """(K + C)/2.
+    """(K + C)/2 of two bodies of one kind and dimension.
 
-    Coaxial revolution bodies are summed exactly by ``profile_sum`` and the
-    midpoint is stored on the halved vertices; polygons use the exact
-    edge-merge sum.  Balls are exact; one paired with a profile is sampled.
+    Balls average their radii; polygons use the exact edge-merge sum;
+    coaxial revolution bodies are summed exactly by ``profile_sum`` and the
+    midpoint is stored on the halved vertices.
     """
-    if isinstance(K, Ball) and isinstance(C, Ball):
-        if K.dim != C.dim:
-            raise UnsupportedCombinationError("midpoint of balls of different dimension")
+    _check_pair(K, C, "midpoint")
+    if isinstance(K, Ball):
         return Ball(K.dim, 0.5 * (K.radius + C.radius))
-    if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
+    if isinstance(K, ConvexPolygon):
         return ConvexPolygon(_handover(0.5 * _polygon_minkowski_sum(K, C)))
-    if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
-        if K.dim != C.dim:
-            raise UnsupportedCombinationError("midpoint of bodies of different dimension")
-        ts, rs = profile_sum(as_revolution(K), as_revolution(C))
-        return RevolutionBody(K.dim, _handover(0.5 * ts), 0.5 * rs)
-    raise UnsupportedCombinationError(
-        f"midpoint of {type(K).__name__} and {type(C).__name__} is not supported"
-    )
+    ts, rs = profile_sum(K, C)
+    return RevolutionBody(K.dim, _handover(0.5 * ts), 0.5 * rs)
 
 
 # ---------------------------------------------------------------------------
@@ -651,42 +652,36 @@ def polygon_symmetric_difference(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def symmetric_difference_volume(K: BodyRef, C: BodyRef) -> float:
-    """|K delta C| for same-representation bodies.
+    """|K delta C| of two bodies of one kind and dimension.
 
-    Coaxial revolution bodies have concentric, hence nested, sections, so
-    each cell of their union grid, split where r1 - r2 changes sign, adds
-    the difference of two exact frustum sums.  A Ball paired with a profile
-    is sampled by ``as_revolution``.  Polygons use |K| + |C| - 2|K inter C|
-    with convex clipping.
+    Concentric balls differ by a shell.  Polygons use
+    |K| + |C| - 2|K inter C| with convex clipping.  Coaxial revolution
+    bodies have concentric, hence nested, sections, so each cell of their
+    union grid, split where r1 - r2 changes sign, adds the difference of two
+    exact frustum sums.
     """
-    if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
+    _check_pair(K, C, "symmetric difference")
+    if isinstance(K, ConvexPolygon):
         return polygon_symmetric_difference(K.vertices, C.vertices)
-    if isinstance(K, (Ball, RevolutionBody)) and isinstance(C, (Ball, RevolutionBody)):
-        if K.dim != C.dim:
-            raise UnsupportedCombinationError("symmetric difference across dimensions")
-        n = K.dim
-        if isinstance(K, Ball) and isinstance(C, Ball):
-            return unit_ball_volume(n) * abs(K.radius ** n - C.radius ** n)
-        K, C = as_revolution(K), as_revolution(C)
-        # a node both grids share adds a cell of width 0
-        t = np.sort(np.concatenate((_ends_closed(K.t, K.radius), _ends_closed(C.t, C.radius))))
-        r1, r2 = K.radius_at(t), C.radius_at(t)
-        h, d = t[1:] - t[:-1], r1 - r2
-        g = _power_sums(r1[:-1], r1[1:], n) - _power_sums(r2[:-1], r2[1:], n)
-        total = float(np.dot(h, np.abs(g)))
-        for j in np.flatnonzero(d[:-1] * d[1:] < 0.0).tolist():
-            # r1 - r2 changes sign in cell j, so the parts of its signed
-            # integral h g on either side of the crossing c have opposite
-            # signs: the cell adds |left - right| = |2 left - h g|
-            lam = float(d[j] / (d[j] - d[j + 1]))
-            a1, a2, cell = float(r1[j]), float(r2[j]), float(h[j] * g[j])
-            c = a1 + lam * (float(r1[j + 1]) - a1)
-            left = lam * float(h[j]) * (_power_sums(a1, c, n) - _power_sums(a2, c, n))
-            total += abs(2.0 * left - cell) - abs(cell)
-        return unit_ball_volume(n - 1) * total / n
-    raise UnsupportedCombinationError(
-        f"symmetric difference of {type(K).__name__} and {type(C).__name__}"
-    )
+    n = K.dim
+    if isinstance(K, Ball):
+        return unit_ball_volume(n) * abs(K.radius ** n - C.radius ** n)
+    # a node both grids share adds a cell of width 0
+    t = np.sort(np.concatenate((_ends_closed(K.t, K.radius), _ends_closed(C.t, C.radius))))
+    r1, r2 = K.radius_at(t), C.radius_at(t)
+    h, d = t[1:] - t[:-1], r1 - r2
+    g = _power_sums(r1[:-1], r1[1:], n) - _power_sums(r2[:-1], r2[1:], n)
+    total = float(np.dot(h, np.abs(g)))
+    for j in np.flatnonzero(d[:-1] * d[1:] < 0.0).tolist():
+        # r1 - r2 changes sign in cell j, so the parts of its signed
+        # integral h g on either side of the crossing c have opposite
+        # signs: the cell adds |left - right| = |2 left - h g|
+        lam = float(d[j] / (d[j] - d[j + 1]))
+        a1, a2, cell = float(r1[j]), float(r2[j]), float(h[j] * g[j])
+        c = a1 + lam * (float(r1[j + 1]) - a1)
+        left = lam * float(h[j]) * (_power_sums(a1, c, n) - _power_sums(a2, c, n))
+        total += abs(2.0 * left - cell) - abs(cell)
+    return unit_ball_volume(n - 1) * total / n
 
 
 def _ends_closed(x, v, out=None) -> np.ndarray:

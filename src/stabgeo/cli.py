@@ -3,7 +3,8 @@
 Subcommands: santalo, pl1d, fmp, pln, and one per entry of
 ``experiments.SCANS`` (cap-scan, bs-scan, pl-scan, pln-scan), each bound to
 its handler by ``set_defaults``; every scan runs through ``experiments.run``.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
+Exit codes: 0 success, 1 configuration error (malformed input, or two
+bodies or stacks of different kinds or dimensions), 2 numerical failure
 (diagnostics go to stderr).
 """
 
@@ -15,12 +16,11 @@ import sys
 import numpy as np
 
 from . import bodies, experiments, fileio, fmp, pl1d, pln, polarity
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, UnsupportedCombinationError
 from .experiments import csv_row
 
 _NUMERIC_ERRORS = (
     ConvergenceError,
-    FloatingPointError,
     ArithmeticError,
     ValueError,
     TypeError,
@@ -95,9 +95,6 @@ def _cmd_pl1d(args) -> int:
 def _cmd_fmp(args) -> int:
     K = fileio.load_body(args.k_path, dim=args.dim)
     C = fileio.load_body(args.c_path, dim=args.dim)
-    if type(K) is not type(C):
-        raise ConfigError(f"fmp needs two bodies of one kind; --k holds a "
-                          f"{type(K).__name__} and --c a {type(C).__name__}")
     rep = fmp.fmp_bound_check(K, C)
     print("sigma,A,gamma_star,lhs_add,rhs_add,lhs_prod,rhs_prod,eta")
     print(csv_row(rep.sigma, rep.A, rep.gamma_star, rep.lhs_additive, rep.rhs_additive,
@@ -144,7 +141,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (ConfigError, FileNotFoundError, OSError) as e:
+    except (ConfigError, UnsupportedCombinationError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as e:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bodies
 from .bodies import BodyRef, ConvexPolygon, volume
-from .errors import ConvergenceError, UnsupportedCombinationError
+from .errors import ConvergenceError
 
 
 # perfbench's tracer patches minimize and minimize_scalar here by name
@@ -264,21 +264,18 @@ def homothetic_distance(K: BodyRef, C: BodyRef) -> float:
     bodies.  For general polygons the maximizing translation is found by
     damped Newton on the square root of the exact overlap, started where
     the centroids meet (see ``_max_overlap``); ``ConvergenceError`` carries
-    the last translation of bC if the step budget runs out.
+    the last translation of bC if the step budget runs out.  K and C are
+    of one kind and dimension, so a pair that is not o-symmetric is a pair
+    of polygons.
     """
-    if K.dim != C.dim:
-        raise UnsupportedCombinationError("homothetic distance across dimensions")
+    bodies._check_pair(K, C, "homothetic distance")
     if bodies.is_o_symmetric(K) and bodies.is_o_symmetric(C):
         a, b = (volume(B) ** (-1.0 / B.dim) for B in (K, C))
-        if isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon):
+        if isinstance(K, ConvexPolygon):
             # scaling keeps a polygon valid, so the scaled vertex arrays are
             # compared without building polygons
             return bodies.polygon_symmetric_difference(K.vertices * a, C.vertices * b)
         return bodies.symmetric_difference_volume(bodies.scale(K, a), bodies.scale(C, b))
-    if not (isinstance(K, ConvexPolygon) and isinstance(C, ConvexPolygon)):
-        raise UnsupportedCombinationError(
-            "general-position homothetic distance is only supported for polygons"
-        )
     P, cP = _centered_unit_area(K.vertices)
     Q, cQ = _centered_unit_area(C.vertices)
     try:
@@ -312,12 +309,12 @@ def _bracket_excess(n: int, sig: float, A: float) -> float:
 
 
 def fmp_bound_check(K: BodyRef, C: BodyRef) -> FMPReport:
-    """Evaluate both stability inequalities on a pair of bodies.
+    """Evaluate both stability inequalities on two bodies of one kind and
+    dimension.
 
     |K + C| is computed from the Minkowski midpoint scaled back by 2^n.
     """
-    if K.dim != C.dim:
-        raise UnsupportedCombinationError("bound check across dimensions")
+    bodies._check_pair(K, C, "bound check")
     n = K.dim
     vk, vc = volume(K), volume(C)
     sig = max(vc / vk, vk / vc)

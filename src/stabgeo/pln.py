@@ -208,8 +208,7 @@ def minimal_midpoint_stack(f: LevelStack, g: LevelStack) -> LevelStack:
     their last vertex, which leaves the hull unchanged), and takes one
     ``upper_hull``.
     """
-    if f.dim != g.dim:
-        raise UnsupportedCombinationError("midpoint stack across dimensions")
+    _bodies._check_pair(f, g, "midpoint stack")
     if f.levels[0] * g.levels[0] <= 0:
         raise EmptyFunctionError("empty level ranges")
     dim = f.dim
@@ -358,8 +357,8 @@ def pl_trace(f: LevelStack, g: LevelStack, m: LevelStack) -> TraceReport:
         total = stack_integral(st)
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise NormalizationError(f"stack {name} integrates to {total!r}, expected 1")
-    if not (f.dim == g.dim == m.dim):
-        raise UnsupportedCombinationError("trace needs stacks of equal dimension")
+    _bodies._check_pair(f, g, "trace")
+    _bodies._check_pair(f, m, "trace")
     if stack_integral(m) <= 0:
         raise EmptyFunctionError("midpoint stack is degenerate")
     n = f.dim

@@ -166,7 +166,7 @@ def test_support_cylinder_diagonal():
 
 def test_support_midpoint_ball_cylinder_axis():
     # support functions average under the Minkowski midpoint: (1 + 1)/2 = 1
-    b = Ball(3, 1.0)
+    b = revolution_ball(3, 1.0, 2049)
     c = revolution_cylinder(3, 1.0, 1.0, samples=2049)
     m = minkowski_midpoint(b, c)
     assert support_function(m, [1.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
@@ -636,6 +636,12 @@ def test_polygon_symmetry_pairs_agree_with_the_nearest_vertex_search():
                 assert not expected
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_ball_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(DegenerateBodyError, match="finite and positive"):
+        Ball(3, radius)
+
+
 def test_polygon_validation_errors():
     with pytest.raises(DegenerateBodyError):
         ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -646,3 +652,6 @@ def test_polygon_validation_errors():
     with pytest.raises(DegenerateBodyError):  # bad symmetry flag
         ConvexPolygon(np.array([[0.0, -1.0], [1.0, 2.0], [-1.0, 1.0]]),
                       o_symmetric=True)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateBodyError, match="vertices must be finite"):
+            ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]]))

@@ -284,6 +284,20 @@ def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys):
     nan.write_text("t,phi\n-1,0\n0,nan\n1,0\n")
     assert main(["santalo", "--body", str(nan)]) == 1
     assert capsys.readouterr().err.count("config error") == 5
+    # a polygon with a non-finite vertex
+    for name, vertex in (("nan_polygon.csv", "nan,1"), ("inf_polygon.csv", "-inf,1")):
+        poly = tmp_path / name
+        poly.write_text(f"x,y\n-1,-1\n1,-1\n1,1\n{vertex}\n")
+        assert main(["santalo", "--body", str(poly)]) == 1
+        assert main(["fmp", "--k", str(poly), "--c", str(poly)]) == 1
+        assert capsys.readouterr().err.count("polygon vertices must be finite") == 2
+    # stacks of different dimensions, as --g and as --m
+    planar = tmp_path / "planar.txt"
+    fileio.save_stack(str(planar), pln.gaussian_stack(2, level_count=4, samples=17))
+    assert main(["pln", "--f", str(good), "--g", str(planar)]) == 1
+    assert main(["pln", "--f", str(good), "--g", str(good), "--m", str(planar)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and err.count("3-D LevelStack and a 2-D") == 2
 
 
 def test_cli_pln_scan_subcommand(tmp_path, capsys):

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from conftest import bounding_box, contains_points, translate_polygon, unit_square
 from stabgeo import bodies, fmp
-from stabgeo.bodies import Ball, ConvexPolygon, revolution_cylinder, volume
+from stabgeo.bodies import Ball, ConvexPolygon, revolution_ball, revolution_cylinder, volume
 from stabgeo.errors import ConvergenceError, UnsupportedCombinationError
 from stabgeo.fmp import fmp_bound_check, gamma_star, homothetic_distance
 
@@ -63,10 +63,11 @@ def test_homothetic_symmetry_and_scale_invariance():
 def test_homothetic_ball_vs_cylinder_mc_crosscheck():
     # |B^ delta C^| on volume-normalized profiles, cross-checked by Monte
     # Carlo on the symmetric difference (points in exactly one body)
+    ball = revolution_ball(3, 1.0, 2049)
     cyl = revolution_cylinder(3, 1.0, math.sqrt(2.0 / 3.0), samples=2049)
     assert volume(cyl) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-9)
-    A = homothetic_distance(Ball(3, 1.0), cyl)
-    nK = bodies.as_revolution(bodies.scale(Ball(3, 1.0), volume(Ball(3, 1.0)) ** (-1 / 3)), 2049)
+    A = homothetic_distance(ball, cyl)
+    nK = bodies.scale(ball, volume(ball) ** (-1 / 3))
     nC = bodies.scale(cyl, volume(cyl) ** (-1 / 3))
     rng = np.random.default_rng(123)
     lo, hi = bounding_box(nC)
@@ -276,6 +277,34 @@ def test_fmp_direction_random_pairs():
         assert rep.lhs_product >= rep.rhs_product - 1e-9 * rep.lhs_product
         # symmetric difference of volume-1 bodies
         assert rep.sigma >= 1.0 and 0.0 <= rep.A <= 2.0 + 1e-9
+
+
+_BALL3, _BALL2 = Ball(3, 1.0), Ball(2, 1.0)
+_PROFILE3, _PROFILE2 = revolution_ball(3, 1.0, 2049), revolution_ball(2, 1.0, 33)
+_MIXED_PAIRS = {
+    "ball-polygon": (_BALL2, unit_square()),
+    # a Ball is not resampled to meet a profile: the 2049-sample ball is
+    # 5.8e-6 smaller, which a Ball sampled at 2049 points would hide
+    "ball-profile": (_BALL3, _PROFILE3),
+    "planar-ball-profile": (_BALL2, _PROFILE2),
+    "polygon-profile": (unit_square(), _PROFILE2),
+    "polygon-profile3": (unit_square(), _PROFILE3),
+    "ball-dims": (_BALL3, _BALL2),
+    "profile-dims": (_PROFILE3, _PROFILE2),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["given", "swapped"])
+@pytest.mark.parametrize("pair", _MIXED_PAIRS.values(), ids=_MIXED_PAIRS.keys())
+@pytest.mark.parametrize("kernel", [bodies.minkowski_midpoint, bodies.symmetric_difference_volume,
+                                    homothetic_distance, fmp_bound_check],
+                         ids=lambda k: k.__name__)
+def test_binary_kernels_refuse_mixed_kinds_and_dimensions(kernel, pair, swap):
+    # the refusal names both operands, in order
+    K, C = pair[::-1] if swap else pair
+    names = f"{K.dim}-D {type(K).__name__} and a {C.dim}-D {type(C).__name__}"
+    with pytest.raises(UnsupportedCombinationError, match=names):
+        kernel(K, C)
 
 
 def test_fmp_dimension_mismatch():
