@@ -237,8 +237,7 @@ class RevolutionBody:
         if t.ndim != 1 or t.shape != r.shape:
             raise DegenerateBodyError("profile needs matching 1-D grids")
         dt = t[1:] - t[:-1]
-        # fmin skips NaN steps, as a comparison with each step does
-        step = np.fmin.reduce(dt, initial=np.inf)
+        step = np.min(dt, initial=np.inf)  # NaN if a step is
         if step < 0:
             raise DegenerateBodyError("axis grid must be increasing")
         if step == 0:
@@ -247,6 +246,10 @@ class RevolutionBody:
             dt = t[1:] - t[:-1]
         if len(t) < 2:
             raise DegenerateBodyError("profile needs at least 2 distinct abscissae")
+        t0, t1 = float(t[0]), float(t[-1])
+        # with finite ends and no NaN step, every abscissa is finite
+        if not (math.isfinite(t0) and math.isfinite(t1)) or math.isnan(step):
+            raise DegenerateBodyError("axis grid must be finite")
         lo, hi = float(r.min()), float(r.max())
         scale = max(hi, -lo)
         if not (math.isfinite(lo) and math.isfinite(hi) and scale > 0):
@@ -254,7 +257,6 @@ class RevolutionBody:
         if lo < -1e-12 * scale:
             raise DegenerateBodyError("profile has negative radii")
         r = np.maximum(r, 0.0)
-        t0, t1 = float(t[0]), float(t[-1])
         if abs(t0 + t1) > 1e-9 * max(abs(t0), abs(t1)):
             raise DegenerateBodyError("axis grid is not symmetric about 0")
         if np.abs(np.interp(-t, t, r) - r).max() > 1e-7 * scale:
@@ -368,26 +370,38 @@ def random_revolution_body(dim, rng, samples=DEFAULT_PROFILE_SAMPLES, amplitude=
     return _even_concave_body(dim, t, r)
 
 
+def _hull_cycle(pts: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of planar points, as a ccw cycle that
+    starts at the lowest of the leftmost vertices: the lower chain is the
+    upper hull of (x, -y), the upper chain that of (x, y) walked back."""
+    x, y = pts[:, 0], pts[:, 1]
+    lx, ly = upper_hull(x, -y)
+    ux, uy = upper_hull(x, y)
+    lower = np.column_stack([lx, -ly])
+    upper = np.column_stack([ux, uy])[::-1]
+    # the chains share an end vertex unless a vertical edge joins them there
+    if (upper[0] == lower[-1]).all():
+        upper = upper[1:]
+    if (upper[-1] == lower[0]).all():
+        upper = upper[:-1]
+    return np.vstack([lower, upper])
+
+
 def random_o_symmetric_polygon(rng) -> ConvexPolygon:
     """Hull of 3 to 8 random points in the upper half-plane and their
-    reflections through o."""
-    from scipy.spatial import ConvexHull
-
+    reflections through o, its cycle from the lowest leftmost vertex."""
     m = int(rng.integers(3, 9))
     ang = np.sort(rng.uniform(0.02, math.pi - 0.02, size=m))
     rad = rng.uniform(0.5, 2.0, size=m)
     upper = rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
-    pts = np.vstack([upper, -upper])
-    hull = ConvexHull(pts)
-    return ConvexPolygon(pts[hull.vertices])
+    return ConvexPolygon(_hull_cycle(np.vstack([upper, -upper])))
 
 
 def random_polygon(rng, points=12) -> ConvexPolygon:
-    from scipy.spatial import ConvexHull
-
+    """Hull of ``points`` normal samples with random axis scales, its cycle
+    from the lowest leftmost vertex."""
     pts = rng.normal(size=(points, 2)) * rng.uniform(0.5, 2.0, size=2)
-    hull = ConvexHull(pts)
-    return ConvexPolygon(pts[hull.vertices])
+    return ConvexPolygon(_hull_cycle(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ WHOLE_LINE = "whole-line"
 HALF_LINE = "half-line"
 
 
-# perfbench's tracer patches minimize and minimize_scalar here by name
-# (ROADMAP item 1 drops that); nothing in the package calls them, so scipy
-# is imported only when something asks for them
+# perfbench's tracer patches minimize and minimize_scalar here by name, so
+# these shims stay until ROADMAP item 1 drops that.  Nothing in the package
+# calls them; they are its only import of scipy, a test dependency, made
+# when something asks for them (ImportError where scipy is not installed)
 def __getattr__(name):
     if name in ("minimize", "minimize_scalar"):
         import scipy.optimize

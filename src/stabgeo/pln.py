@@ -50,8 +50,8 @@ class LevelStack:
         bd = tuple(self.bodies)
         if len(lv) == 0 or len(lv) != len(bd):
             raise EmptyFunctionError("stack needs matching nonempty levels and bodies")
-        if np.any(lv <= 0) or np.any(np.diff(lv) >= 0):
-            raise ValueError("heights must be positive and strictly decreasing")
+        if not (np.isfinite(lv).all() and (lv > 0).all() and (np.diff(lv) < 0).all()):
+            raise ValueError("heights must be finite, positive and strictly decreasing")
         for b in bd:
             if not isinstance(b, RevolutionBody) or b.dim != self.dim:
                 raise UnsupportedCombinationError(

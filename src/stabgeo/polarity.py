@@ -36,9 +36,10 @@ from .errors import (
 )
 
 
-# perfbench's tracer patches minimize and minimize_scalar here by name
-# (ROADMAP item 1 drops that); nothing in the package calls them, so scipy
-# is imported only when something asks for them
+# perfbench's tracer patches minimize and minimize_scalar here by name, so
+# these shims stay until ROADMAP item 1 drops that.  Nothing in the package
+# calls them; they are its only import of scipy, a test dependency, made
+# when something asks for them (ImportError where scipy is not installed)
 def __getattr__(name):
     if name in ("minimize", "minimize_scalar"):
         import scipy.optimize
@@ -289,31 +290,76 @@ def bm_distance_to_ball(K: BodyRef) -> float:
 
 def spherical_cap_volume(n: int, h: float) -> float:
     """Volume of the cap of the unit n-ball of height h (0 <= h <= 1),
-    kappa_{n-1} * int_{1-h}^{1} (1 - t^2)^((n-1)/2) dt.  That is half the
-    ball times the regularized incomplete beta function I_{h(2-h)}(p, 1/2),
-    p = (n + 1)/2, which equals 1 - I_{(1-h)^2}(1/2, p) but does not cancel
-    for thin caps."""
+    kappa_{n-1} * int_{1-h}^{1} (1 - t^2)^m dt, m = (n - 1)/2.
+
+    With x = h(2 - h), p = m + 1 and u = 1 - h that is kappa_{n-1}/2 times
+    the incomplete beta function B_x(p, 1/2).  Its series
+    B_x(a, b) = x^a (1 - x)^b / a * sum_k (a + b)_k / (a + 1)_k x^k
+    (DLMF 8.17.8) has positive terms only, so it loses no relative accuracy
+    on thin caps; its terms fall by a factor below x.  Past
+    x = (p + 1)/(p + 5/2), where the cap holds more than 8% of the half
+    ball, the cap is the half ball less the slab |t| <= u, summed the same
+    way in u^2 = 1 - x: its terms fall from the first on, and the
+    subtraction costs less than four bits."""
     if not 0.0 <= h <= 1.0:
         raise ValueError("cap height must lie in [0, 1]")
-    from scipy.special import betainc
+    p = (n + 1) / 2.0
+    u = 1.0 - h
+    x = h * (2.0 - h)
+    front = unit_ball_volume(n - 1) * u * x ** p
+    if x <= (p + 1.0) / (p + 2.5):
+        return front * _positive_series(p + 0.5, p + 1.0, x) / (2.0 * p)
+    return unit_ball_volume(n) / 2.0 - front * _positive_series(p + 0.5, 1.5, u * u)
 
-    return 0.5 * unit_ball_volume(n) * float(betainc((n + 1) / 2.0, 0.5, h * (2.0 - h)))
+
+def _positive_series(a: float, c: float, y: float) -> float:
+    """sum_k (a)_k / (c)_k y^k for 0 <= y < 1, to the last term that still
+    changes the sum."""
+    total = term = 1.0
+    k = 0
+    while True:
+        term *= (a + k) / (c + k) * y
+        if total + term == total:
+            return total
+        total += term
+        k += 1
 
 
 def cap_cut_body(n: int, eps: float,
                  samples=bodies.DEFAULT_PROFILE_SAMPLES) -> RevolutionBody:
     """Unit ball with two opposite caps of volume eps removed:
-    B^n intersected with {|<x, u>| <= 1 - h}, h solving cap volume = eps by
-    inverting the incomplete beta function of ``spherical_cap_volume`` for
-    x = h(2-h), then h = x / (1 + sqrt(1 - x))."""
-    if eps < 0:
-        raise ValueError("cap volume must be nonnegative")
+    B^n intersected with {|<x, u>| <= 1 - h}, h solving cap volume = eps
+    (``_cap_height``)."""
+    if not eps >= 0:
+        raise ValueError(f"cap volume must be nonnegative, got {eps}")
     if eps >= unit_ball_volume(n) / 2.0:
         raise DegenerateBodyError("cap volume this large degenerates the body")
-    from scipy.special import betaincinv
-
-    x = float(betaincinv((n + 1) / 2.0, 0.5, 2.0 * eps / unit_ball_volume(n)))
-    h = x / (1.0 + math.sqrt(1.0 - x))
     return bodies.revolution_from_function(
-        n, lambda u: np.sqrt(np.maximum(1.0 - u * u, 0.0)), 1.0 - h, samples
+        n, lambda u: np.sqrt(np.maximum(1.0 - u * u, 0.0)), 1.0 - _cap_height(n, eps), samples
     )
+
+
+def _cap_height(n: int, eps: float) -> float:
+    """The cap height h in [0, 1] of cap volume eps, by Newton's method.
+
+    The cap volume is convex and increasing in h, with derivative
+    kappa_{n-1} (h(2 - h))^m, m = (n - 1)/2, so every Newton iterate lies
+    at or above h and the iterates after the first fall to h.  The first
+    starts from the root of the leading term kappa_{n-1} (2h)^m h / (m + 1)
+    of the cap volume's expansion in h, and the search ends when a step no
+    longer moves the height down."""
+    if eps == 0.0:
+        return 0.0
+    m = (n - 1) / 2.0
+    kappa = unit_ball_volume(n - 1)
+
+    def newton(h):
+        return min(h - (spherical_cap_volume(n, h) - eps) / (kappa * (h * (2.0 - h)) ** m), 1.0)
+
+    h = newton(min(((m + 1.0) * eps / (kappa * 2.0 ** m)) ** (1.0 / (m + 1.0)), 1.0))
+    for _ in range(64):
+        lower = newton(h)
+        if not lower < h:
+            break
+        h = lower
+    return h

@@ -591,6 +591,30 @@ def test_random_polygon_hull_is_valid(seed):
     assert volume(K) > 0
 
 
+@pytest.mark.parametrize("generator", [bodies.random_polygon, bodies.random_o_symmetric_polygon])
+def test_random_polygons_are_the_qhull_cycle(generator, monkeypatch):
+    # the generated vertex cycle is scipy's hull of the drawn points, up to
+    # where the cycle starts: at the lowest of the leftmost vertices
+    from scipy.spatial import ConvexHull
+
+    drawn = []
+
+    def hull_cycle(pts, _hull=bodies._hull_cycle):
+        drawn.append(pts)
+        return _hull(pts)
+
+    monkeypatch.setattr(bodies, "_hull_cycle", hull_cycle)
+    for seed in range(1000):
+        V = generator(np.random.default_rng(seed)).vertices
+        pts = drawn[-1]
+        Q = pts[ConvexHull(pts).vertices]
+        assert len(Q) == len(V), seed
+        start = int(np.flatnonzero((Q == V[0]).all(axis=1))[0])
+        assert np.array_equal(np.roll(Q, -start, axis=0), V), seed
+        left = V[V[:, 0] == V[:, 0].min()]
+        assert V[0, 1] == left[:, 1].min(), seed
+
+
 def test_polygon_symmetry_is_read_from_the_vertices():
     square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     assert ConvexPolygon(square).o_symmetric

@@ -284,6 +284,19 @@ def test_cli_malformed_inputs_are_config_errors(tmp_path, capsys):
     nan.write_text("t,phi\n-1,0\n0,nan\n1,0\n")
     assert main(["santalo", "--body", str(nan)]) == 1
     assert capsys.readouterr().err.count("config error") == 5
+    # a profile with a NaN or an infinite abscissa
+    for name, text in (("nan_axis.csv", "t,phi\n-1,0\nnan,1\n1,0\n"),
+                       ("inf_axis.csv", "t,phi\n-inf,0\n0,1\ninf,0\n")):
+        axis = tmp_path / name
+        axis.write_text(text)
+        assert main(["santalo", "--body", str(axis)]) == 1
+        assert "axis grid must be finite" in capsys.readouterr().err
+    # a stack whose top height is not finite
+    for height in ("nan", "inf"):
+        top = tmp_path / f"{height}_height.txt"
+        top.write_text("\n".join([head, f"t={height} " + first.split(" ", 1)[1], second, *rest]) + "\n")
+        assert main(["pln", "--f", str(top), "--g", str(good)]) == 1
+        assert "heights must be finite" in capsys.readouterr().err
     # a polygon with a non-finite vertex
     for name, vertex in (("nan_polygon.csv", "nan,1"), ("inf_polygon.csv", "-inf,1")):
         poly = tmp_path / name

@@ -1,7 +1,9 @@
-"""What a fresh interpreter loads: importing stabgeo and running its command
-line load no scipy module.  scipy is imported by the functions that need it
-(the random polygon generators and the two cap functions) and by anything
-that asks pl1d, polarity or fmp for ``minimize`` or ``minimize_scalar``."""
+"""What a fresh interpreter loads: importing stabgeo, running its command
+line, building random polygons, computing cap volumes and heights and
+running a cap scan load no scipy module.  scipy is a test dependency only;
+the package imports it for nothing but the ``minimize`` and
+``minimize_scalar`` names that pl1d, polarity and fmp still hand out on
+request."""
 
 import subprocess
 import sys
@@ -46,12 +48,20 @@ def test_import_and_help_load_no_scipy():
     assert "usage: stabgeo" in out
 
 
-def test_cap_functions_import_scipy_when_called():
-    out = run_fresh("""
-        from stabgeo import polarity
+def test_generators_caps_and_cap_scan_load_no_scipy(tmp_path):
+    out = run_fresh(f"""
+        import numpy as np
+        from stabgeo import bodies, cli, polarity
+        rng = np.random.default_rng(0)
+        bodies.random_polygon(rng), bodies.random_o_symmetric_polygon(rng)
         K = polarity.cap_cut_body(3, 1e-2)
         print(K.alpha, polarity.spherical_cap_volume(3, 1.0 - K.alpha))
+        assert cli.main(["cap-scan", "--dim", "2", "--grid", "1e-4,1e-3",
+                         "--profile-samples", "33", "--out", {str(tmp_path / "cap.csv")!r}]) == 0
+        print("scipy", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    alpha, cap = map(float, out.split())
+    lines = out.splitlines()
+    alpha, cap = map(float, lines[0].split())
     assert 0.9 < alpha < 1.0
     assert abs(cap - 1e-2) <= 1e-12
+    assert lines[-1] == "scipy []"

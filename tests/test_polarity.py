@@ -523,6 +523,57 @@ def test_spherical_cap_volume_thin_caps(h):
         0.5 * math.pi ** 2 * (4.0 * h ** 3 / 3.0 - h ** 4 + h ** 5 / 5.0), rel=1e-12)
 
 
+def _scipy_cap_volume(n, h):
+    # I_x(p, 1/2) at x = h(2 - h) up to h = 1/2; past it x nears 1, where
+    # I_x has slope ~ (1 - x)^(-1/2) and the rounding of x shows (1e-13 at
+    # h = 0.999), so the complement I_{(1-h)^2}(1/2, p) is taken instead
+    from scipy.special import betainc, betaincc
+
+    p = (n + 1) / 2.0
+    if h <= 0.5:
+        return 0.5 * bodies.unit_ball_volume(n) * float(betainc(p, 0.5, h * (2.0 - h)))
+    return 0.5 * bodies.unit_ball_volume(n) * float(betaincc(0.5, p, (1.0 - h) ** 2))
+
+
+def _scipy_cap_height(n, eps):
+    from scipy.special import betaincinv, betainccinv
+
+    p = (n + 1) / 2.0
+    q = 2.0 * eps / bodies.unit_ball_volume(n)
+    if eps <= _scipy_cap_volume(n, 0.5):
+        x = float(betaincinv(p, 0.5, q))
+        return x / (1.0 + math.sqrt(1.0 - x))
+    return 1.0 - math.sqrt(float(betainccinv(0.5, p, q)))
+
+
+CAP_RTOL = 1e-13  # read: 5.7e-15 up to n = 12, 2.6e-14 at n = 80
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cap_volume_and_height_match_scipy(n):
+    heights = [*np.geomspace(1e-12, 1.0, 120), 0.5, 0.9, 0.999, 1.0 - 1e-9]
+    for h in map(float, heights):
+        assert spherical_cap_volume(n, h) == pytest.approx(_scipy_cap_volume(n, h), rel=CAP_RTOL)
+    half = bodies.unit_ball_volume(n) / 2.0
+    caps = [*np.geomspace(1e-12, half, 120)[:-1], half * (1.0 - 1e-9), math.nextafter(half, 0.0)]
+    for eps in map(float, caps):
+        h = polarity._cap_height(n, eps)
+        assert h == pytest.approx(_scipy_cap_height(n, eps), rel=CAP_RTOL), eps
+    for eps in map(float, caps[:-2:20]):
+        assert cap_cut_body(n, eps, samples=9).alpha == 1.0 - polarity._cap_height(n, eps)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_cap_volume_and_height_match_scipy_in_high_dimension(n):
+    # the binomial series in h alternates and read 1e-6 off at n = 50, h = 1
+    half = bodies.unit_ball_volume(n) / 2.0
+    for h in map(float, np.linspace(1e-3, 1.0, 60)):
+        assert spherical_cap_volume(n, h) == pytest.approx(_scipy_cap_volume(n, h), rel=CAP_RTOL)
+    for eps in map(float, np.geomspace(1e-9 * half, half, 60)[:-1]):
+        assert polarity._cap_height(n, eps) == pytest.approx(_scipy_cap_height(n, eps),
+                                                            rel=CAP_RTOL), eps
+
+
 def test_cap_cut_degenerate_rejected():
     with pytest.raises(DegenerateBodyError):
         cap_cut_body(3, bodies.unit_ball_volume(3) / 2.0)
